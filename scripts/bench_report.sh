@@ -55,10 +55,8 @@ for ((rep = 0; rep < REPEATS; ++rep)) do
   run "alloc.${rep}"     "${BUILD_DIR}/alloc_bench"
   run "fig5_slab.${rep}" "${BUILD_DIR}/fig5_scalability_high"
   run "fig5_heap.${rep}" "${BUILD_DIR}/fig5_scalability_high" --slab 0
-  # Coordination cost in isolation (empty Begin/Commit loops), with the
-  # unbatched-timestamp ablation alongside (rows tagged +block1).
-  run "contention.${rep}"   "${BUILD_DIR}/contention_bench"
-  run "contention_b1.${rep}" "${BUILD_DIR}/contention_bench" --block 1
+  # Coordination cost in isolation (empty Begin/Commit loops).
+  run "contention.${rep}" "${BUILD_DIR}/contention_bench"
   run "tatp_slab.${rep}" "${BUILD_DIR}/table4_tatp"
   run "tatp_heap.${rep}" "${BUILD_DIR}/table4_tatp" --slab 0
   # Recovery time (log replay records/sec over a replay-thread sweep);

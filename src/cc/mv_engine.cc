@@ -43,8 +43,7 @@ MVEngine::MVEngine(MVEngineOptions options)
     : options_(options),
       hists_(options_.enable_latency_histograms),
       slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
-      txn_pool_(options_.use_slab_allocator, &stats_),
-      ts_gen_(options_.ts_block_size) {
+      txn_pool_(options_.use_slab_allocator, &stats_) {
   catalog_.ConfigureMemory(
       Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
   LogSink* sink = nullptr;

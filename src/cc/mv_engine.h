@@ -61,11 +61,6 @@ struct MVEngineOptions {
   /// Deadlock-detector pass interval; 0 disables the thread.
   uint32_t deadlock_interval_us = 1000;
 
-  /// End timestamps are carved off the shared counter in per-thread blocks
-  /// of this size (txn/timestamp.h); 1 = unbatched (every commit touches
-  /// the shared cacheline, the pre-Section-6 behavior).
-  uint32_t ts_block_size = TimestampGenerator::kDefaultBlockSize;
-
   /// Recycle version slots through per-table slabs and transaction objects
   /// through a pool (mem/). Off = every version/transaction is a global
   /// heap allocation -- slower, but gives ASan-style tooling full lifetime

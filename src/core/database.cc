@@ -29,7 +29,6 @@ Database::Database(DatabaseOptions options)
     mv.group_commit_us = options_.group_commit_us;
     mv.gc_interval_us = options_.gc_interval_us;
     mv.deadlock_interval_us = options_.deadlock_interval_us;
-    mv.ts_block_size = options_.ts_block_size;
     mv.use_slab_allocator = options_.use_slab_allocator;
     mv.enable_latency_histograms = options_.enable_latency_histograms;
     mv.slow_txn_us = options_.slow_txn_us;
@@ -83,15 +82,11 @@ Logger& Database::logger() {
 }
 
 Timestamp Database::LastCommitTimestamp() {
-  return mv_ != nullptr ? mv_->ts_gen().Current() : sv_->commit_clock();
+  return (mv_ != nullptr ? mv_->ts_gen() : sv_->ts_gen()).Current();
 }
 
 void Database::AdvanceCommitTimestamp(Timestamp floor) {
-  if (mv_ != nullptr) {
-    mv_->ts_gen().AdvanceTo(floor);
-  } else {
-    sv_->AdvanceCommitClock(floor);
-  }
+  (mv_ != nullptr ? mv_->ts_gen() : sv_->ts_gen()).AdvanceTo(floor);
 }
 
 Txn* Database::Begin(IsolationLevel isolation, bool read_only) {

@@ -100,6 +100,7 @@ Status SVEngine::AcquireLock(SVTransaction* txn, SVLockTable& locks,
       // so release doesn't double-release.
       *held = txn->locks.back();
       txn->locks.pop_back();
+      txn->ResetLockIndex();
       return Status::Aborted(AbortReason::kLockTimeout);
     }
     held->exclusive = true;
@@ -438,6 +439,7 @@ void SVEngine::ReleaseAllLocks(SVTransaction* txn) {
     }
   }
   txn->locks.clear();
+  txn->ResetLockIndex();
   for (const auto& r : txn->range_locks) {
     if (r.point) {
       r.manager->ReleasePoint(txn->id, r.lo);
@@ -454,8 +456,7 @@ void SVEngine::WriteLog(SVTransaction* txn) {
   thread_local std::vector<uint8_t> buffer;
   buffer.clear();
   LogRecordBuilder builder(buffer);
-  builder.BeginRecord(commit_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                      txn->id);
+  builder.BeginRecord(ts_gen_.Next(), txn->id);
   for (const auto& u : txn->undo) {
     switch (u.op) {
       case SVTransaction::UndoOp::kInsert:

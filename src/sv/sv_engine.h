@@ -30,6 +30,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/counters.h"
@@ -40,6 +41,7 @@
 #include "obs/histogram.h"
 #include "storage/table.h"
 #include "sv/lock_table.h"
+#include "txn/timestamp.h"
 #include "util/epoch.h"
 
 namespace mvstore {
@@ -83,6 +85,7 @@ class SVTransaction {
     isolation = new_isolation;
     start_ticks = 0;
     locks.clear();
+    ResetLockIndex();
     range_locks.clear();
     undo.clear();
   }
@@ -121,13 +124,30 @@ class SVTransaction {
   std::vector<RangeLockHold> range_locks;
   std::vector<UndoEntry> undo;
 
-  /// Find this transaction's hold on `lock`, or nullptr.
+  /// Find this transaction's hold on `lock`, or nullptr, through a hash
+  /// index from lock to position in `locks`, caught up from the entries
+  /// appended since the last lookup (a serializable long reader holds
+  /// thousands of locks; a linear scan would cost it quadratically).
   LockEntry* FindLock(KeyLock* lock) {
-    for (auto& e : locks) {
-      if (e.lock == lock) return &e;
+    for (; indexed_ < locks.size(); ++indexed_) {
+      lock_index_.emplace(locks[indexed_].lock, indexed_);
     }
-    return nullptr;
+    auto it = lock_index_.find(lock);
+    return it == lock_index_.end() ? nullptr : &locks[it->second];
   }
+
+  /// Drop the lock index; required whenever `locks` is cleared or an entry
+  /// moves (the failed-upgrade swap-remove).
+  void ResetLockIndex() {
+    if (indexed_ == 0) return;  // clear() touches every bucket
+    lock_index_.clear();
+    indexed_ = 0;
+  }
+
+ private:
+  std::unordered_map<KeyLock*, size_t> lock_index_;
+  /// Prefix of `locks` already in lock_index_.
+  size_t indexed_ = 0;
 };
 
 class SVEngine {
@@ -181,20 +201,9 @@ class SVEngine {
   Logger& logger() { return *logger_; }
   const SVEngineOptions& options() const { return options_; }
 
-  /// Timestamp the next commit record will exceed (recovery/checkpoint
-  /// coordination): every transaction that already wrote its log record has
-  /// an end timestamp <= this value.
-  Timestamp commit_clock() const {
-    return commit_clock_.load(std::memory_order_acquire);
-  }
-  /// Raise the commit clock to at least `floor`; recovery calls this after
-  /// replay so post-recovery records sort after the replayed ones.
-  void AdvanceCommitClock(Timestamp floor) {
-    Timestamp cur = commit_clock_.load(std::memory_order_acquire);
-    while (cur < floor && !commit_clock_.compare_exchange_weak(
-                              cur, floor, std::memory_order_acq_rel)) {
-    }
-  }
+  /// The commit clock: each logged commit draws its record's timestamp
+  /// from it (recovery and checkpoints read and advance it).
+  TimestampGenerator& ts_gen() { return ts_gen_; }
 
  private:
   /// Acquire (or convert to) the requested mode on the key's lock,
@@ -251,7 +260,7 @@ class SVEngine {
   EpochManager epoch_;
   std::unique_ptr<Logger> logger_;
   std::atomic<TxnId> next_txn_id_{1};
-  std::atomic<Timestamp> commit_clock_{0};
+  TimestampGenerator ts_gen_;
 };
 
 }  // namespace mvstore

@@ -1,125 +1,53 @@
 // Global timestamp and transaction-ID generation (paper Section 2.4:
 // "Timestamps are drawn from a global, monotonically increasing counter").
 //
-// The paper observes that acquiring a timestamp is "the only critical
-// section shared by all transactions" in the MV schemes (Section 6). A bare
-// fetch_add makes that critical section a single cacheline that every
-// transaction invalidates twice (begin and commit). This implementation
-// splits the two roles of the clock:
+// Acquiring a timestamp is "the only critical section shared by all
+// transactions" in the MV schemes, a single atomic increment (Section 6).
+// TimestampGenerator is that counter; both engines draw commit timestamps
+// from it.
 //
-//   * Allocation (Next, commits only): each thread carves a private block of
-//     end timestamps off the shared `alloc_` cursor, then draws from the
-//     block with plain stores to its own cacheline. The shared cursor is
-//     touched once per block, not once per commit.
-//   * Observation (Current, begins and Read Committed read times): a plain
-//     load of `ceiling_`, the maximum timestamp drawn so far. Begins write
-//     nothing shared.
-//
-// The ceiling is maintained by Next() with a skip-if-lower CAS-max: a drawn
-// timestamp below the current maximum (most draws, once several blocks are
-// in flight) publishes nothing, so in steady state one thread at a time --
-// the holder of the highest block -- writes the ceiling line while everyone
-// else only reads it.
-//
-// Snapshot safety: a begin timestamp B = ceiling must never be overtaken by
-// a later-drawn end timestamp T <= B, or a reader could watch a transaction
-// commit "into its past" and observe half of its writes. Blocks make this
-// nontrivial -- a block carved long ago can hold undrawn values below the
-// current ceiling. The guard is in Next(): a draw whose candidate is at or
-// below the ceiling abandons the rest of the block and carves a fresh one
-// (fresh blocks start above `alloc_` >= ceiling). Abandoned timestamps are
-// simply never emitted, which is what makes abandonment safe; ids are
-// unique, not dense. The ordering argument, with everything seq_cst: a
-// reader that observes a writer still Active did so before the writer's
-// Preparing store (MVEngine::Commit publishes Preparing before drawing),
-// hence before the writer's ceiling check, hence that check sees
-// ceiling >= B and the writer's end timestamp lands strictly above B.
-// Readers that instead catch Preparing resolve through AwaitEndTimestamp
-// and the commit-dependency machinery exactly as before.
-//
-// AdvanceTo (recovery) raises the cursor and the ceiling together; the
-// Next() ceiling guard then retires every stale outstanding block, so
-// post-recovery commits draw strictly above everything already replayed.
+// Snapshot safety -- no end timestamp T <= B drawn after a reader took the
+// begin timestamp B = Current() -- follows from the one seq_cst counter and
+// MVEngine::Commit publishing Preparing before it draws (see there).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
 #include "common/types.h"
 #include "storage/lock_word.h"
 
 namespace mvstore {
 
-class TimestampGenerator {
+class alignas(kCacheLineSize) TimestampGenerator {
  public:
-  /// Upper bound on concurrently registered threads. Slots are recycled on
-  /// thread exit; overflow falls back to unbatched draws.
-  static constexpr uint32_t kMaxSlots = 256;
-  static constexpr uint32_t kDefaultBlockSize = 16;
-
-  explicit TimestampGenerator(uint32_t block_size = kDefaultBlockSize);
-  ~TimestampGenerator();
-
-  TimestampGenerator(const TimestampGenerator&) = delete;
-  TimestampGenerator& operator=(const TimestampGenerator&) = delete;
-
   /// Unique end timestamp, strictly greater than every Current() value
   /// observed before the call.
-  Timestamp Next();
-
-  /// Current logical time: the maximum drawn timestamp. At or above every
-  /// commit that finished before this call, strictly below every timestamp
-  /// Next() will return after it. Used for begin timestamps and the Read
-  /// Committed read time; writes nothing shared.
-  Timestamp Current() const {
-    return ceiling_.load(std::memory_order_seq_cst);
+  Timestamp Next() {
+    return clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
+
+  /// Current logical time: the largest timestamp drawn so far. At or above
+  /// every commit that finished before this call, strictly below every
+  /// timestamp Next() returns after it. Used for begin timestamps and the
+  /// Read Committed read time; writes nothing shared.
+  Timestamp Current() const { return clock_.load(std::memory_order_seq_cst); }
 
   /// Raise the clock to at least `floor`: every later Next() returns a
   /// value > `floor` and every later Current() >= `floor`. Recovery calls
-  /// this after replay so post-recovery commits draw end timestamps
-  /// strictly greater than every timestamp already in the log — the replay
-  /// order of a future recovery depends on it.
-  void AdvanceTo(Timestamp floor);
-
-  /// High-water mark of slot indexes ever used (tests).
-  uint32_t UsedSlots() const {
-    return used_slots_.load(std::memory_order_acquire);
+  /// this after replay so post-recovery commits sort after every record
+  /// already in the log (a future recovery's replay order depends on it).
+  void AdvanceTo(Timestamp floor) {
+    uint64_t current = clock_.load(std::memory_order_seq_cst);
+    while (current < floor &&
+           !clock_.compare_exchange_weak(current, floor,
+                                         std::memory_order_seq_cst)) {
+    }
   }
 
  private:
-  struct alignas(kCacheLineSize) Slot {
-    /// Next undrawn timestamp of this slot's block; > limit when empty.
-    /// Owner-thread only; cross-owner handoff happens-before via the
-    /// freelist latch.
-    uint64_t next = 1;
-    /// Last timestamp of the current block.
-    uint64_t limit = 0;
-  };
-
-  Slot* MySlot();
-  Slot* AcquireSlot();
-  void ReleaseSlotIndex(uint32_t index);
-  static void ReleaseSlotTrampoline(void* owner, uint32_t slot);
-  void PublishDrawn(uint64_t ts);
-
-  const uint32_t block_size_;
-  const uint64_t registry_id_;
-
-  /// Block allocation cursor: timestamps (base, base + block] are owned by
-  /// whoever fetch_add'ed base. Invariant: alloc_ >= ceiling_.
-  alignas(kCacheLineSize) std::atomic<uint64_t> alloc_{0};
-  /// Maximum drawn timestamp (see file comment).
-  alignas(kCacheLineSize) std::atomic<uint64_t> ceiling_{0};
-
-  alignas(kCacheLineSize) std::atomic<uint32_t> used_slots_{0};
-  mutable SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_slots_ GUARDED_BY(freelist_latch_);
-
-  std::vector<Slot> slots_;
+  std::atomic<uint64_t> clock_{0};
 };
 
 /// Transaction IDs come from their own counter; they live in a disjoint
@@ -134,7 +62,8 @@ class TxnIdGenerator {
 
   TxnIdGenerator() : TxnIdGenerator(0) {}
   /// `start_raw` pre-positions the raw counter (tests exercise wraparound).
-  explicit TxnIdGenerator(uint64_t start_raw);
+  explicit TxnIdGenerator(uint64_t start_raw)
+      : counter_(start_raw), instance_id_(NextInstanceId()) {}
 
   TxnId Next() {
     // POD thread-locals: no teardown hazard, and a thread switching between
@@ -158,6 +87,11 @@ class TxnIdGenerator {
   }
 
  private:
+  static uint64_t NextInstanceId() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   alignas(kCacheLineSize) std::atomic<uint64_t> counter_;
   const uint64_t instance_id_;
 };

@@ -1,5 +1,5 @@
 // Thread-slot registry: the shared machinery behind every per-thread-sharded
-// structure in the engine (timestamp blocks, epoch slots, stat cells).
+// structure in the engine (epoch slots, stat cells, histogram cells).
 //
 // Each sharded structure ("owner") hands out per-thread slots from its own
 // freelist. The hard part is the *release* side: a slot must return to the

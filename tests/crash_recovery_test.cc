@@ -701,31 +701,25 @@ TEST_P(CrashRecoveryTest, ParallelReplayMatchesSerial) {
   EXPECT_EQ(serial, parallel);  // byte-identical contents
 }
 
-// --- interleaved timestamp blocks --------------------------------------------
+// --- interleaved commits -----------------------------------------------------
 
-/// Commits drawing end timestamps from interleaved per-thread blocks
-/// (txn/timestamp.h) leave a log whose timestamps have gaps: a block that
-/// falls behind the drawn-timestamp ceiling is abandoned, so its remainder
-/// is never emitted. A crash image of such a log must (a) replay to
-/// byte-identical contents serially and in parallel, and (b) leave the
-/// recovered clock strictly above the replayed maximum -- a post-recovery
-/// commit reusing a gap or a replayed timestamp would corrupt the replay
-/// order of the *next* recovery.
-TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
+/// Commits from several threads, strictly alternating, leave a log whose
+/// order-sensitive updates to shared rows interleave. A crash image of such
+/// a log must (a) replay to byte-identical contents serially and in
+/// parallel, and (b) leave the recovered clock at or above the replayed
+/// maximum -- a post-recovery commit reusing a replayed timestamp would
+/// corrupt the replay order of the *next* recovery.
+TEST_P(CrashRecoveryTest, InterleavedCommitsReplayDeterministically) {
   constexpr uint32_t kThreads = 3;
   constexpr uint32_t kRounds = 40;  // committed transactions per thread
   constexpr uint64_t kShared = 8;
   {
-    DatabaseOptions opts = FileOptions();
-    opts.ts_block_size = 4;  // small blocks: frequent carves, visible gaps
-    Database db(opts);
+    Database db(FileOptions());
     DefineSchema(db);
     for (uint64_t k = 0; k < kShared; ++k) {
       ASSERT_TRUE(InsertRow(db, k, 1).ok());
     }
     // A turnstile alternates commit order across threads deterministically:
-    // every thread's next draw finds another thread's draw above it, so
-    // every commit abandons its block remainder and carves a fresh one --
     // the maximally interleaved schedule, independent of the scheduler.
     std::atomic<uint32_t> turn{0};
     std::vector<std::thread> writers;
@@ -765,14 +759,6 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   std::vector<ParsedLogRecord> records;
   (void)ParseAllRecords(ReadLogFile(log), &records);  // false: torn tail
   ASSERT_GT(records.size(), kShared);
-  if (GetParam() != Scheme::kSingleVersion) {
-    // The phenomenon under test actually occurred: abandoned block
-    // remainders left gaps, so the timestamp range exceeds the draw count.
-    std::vector<Timestamp> stamps;
-    for (const auto& r : records) stamps.push_back(r.end_ts);
-    std::sort(stamps.begin(), stamps.end());
-    EXPECT_GT(stamps.back() - stamps.front() + 1, stamps.size());
-  }
 
   auto recover = [&](uint32_t threads, RecoveryReport* report) {
     DatabaseOptions fresh;
@@ -793,16 +779,13 @@ TEST_P(CrashRecoveryTest, InterleavedTimestampBlocksReplayDeterministically) {
   EXPECT_EQ(serial_report.max_timestamp, parallel_report.max_timestamp);
   EXPECT_EQ(DumpTable(*serial_db), DumpTable(*parallel_db));
 
-  // Post-recovery commits draw strictly above everything replayed, even
-  // though the crashed run still had partially drawn blocks outstanding
-  // below the maximum when it died. Check what actually reaches the log
-  // after a recover-and-continue open: the replay order of the *next*
-  // recovery depends on these records sorting after all existing ones.
+  // Post-recovery commits draw strictly above everything replayed. Check
+  // what actually reaches the log after a recover-and-continue open: the
+  // replay order of the *next* recovery depends on these records sorting
+  // after all existing ones.
   EXPECT_GE(serial_db->LastCommitTimestamp(), serial_report.max_timestamp);
   {
-    DatabaseOptions opts = FileOptions();
-    opts.ts_block_size = 4;
-    auto db = Database::Open(opts, DefineSchema);
+    auto db = Database::Open(FileOptions(), DefineSchema);
     ASSERT_NE(db, nullptr);
     ASSERT_TRUE(InsertRow(*db, 999999, 1).ok());
   }

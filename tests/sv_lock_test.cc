@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include "sv/lock_table.h"
 #include "sv/sv_engine.h"
@@ -108,6 +111,9 @@ uint64_t RowKey(const void* p) { return static_cast<const Row*>(p)->key; }
 
 class SVEngineTest : public ::testing::Test {
  protected:
+  /// Index buckets, which also size the engine's key-lock table.
+  static constexpr uint64_t kBuckets = 4096;
+
   SVEngineTest() {
     SVEngineOptions opts;
     opts.log_mode = LogMode::kDisabled;
@@ -116,7 +122,7 @@ class SVEngineTest : public ::testing::Test {
     TableDef def;
     def.name = "rows";
     def.payload_size = sizeof(Row);
-    def.indexes.push_back(IndexDef{&RowKey, 256, true});
+    def.indexes.push_back(IndexDef{&RowKey, kBuckets, true});
     table_ = engine_->CreateTable(def);
   }
 
@@ -176,21 +182,88 @@ TEST_F(SVEngineTest, ReadCommittedReleasesImmediately) {
   ASSERT_TRUE(engine_->Commit(reader).ok());
 }
 
-TEST_F(SVEngineTest, UpgradeWithinTransaction) {
-  Put(1, 10);
+/// Parameter: locks the transaction holds when it upgrades, few (as a
+/// short transaction holds) and many (as a long reader holds), through
+/// SVTransaction::FindLock's lock index.
+class SVEngineUpgradeTest : public SVEngineTest,
+                            public ::testing::WithParamInterface<size_t> {
+ protected:
+  /// `n` keys whose rows map to pairwise distinct key locks, so holding a
+  /// lock on each one holds exactly `n` locks. Inserts each row with
+  /// value 10.
+  std::vector<uint64_t> PutDistinctLockKeys(size_t n) {
+    SVLockTable probe(kBuckets);  // same size and hash as the engine's
+    std::unordered_set<KeyLock*> seen;
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 1; keys.size() < n; ++k) {
+      if (!seen.insert(probe.LockFor(k)).second) continue;
+      keys.push_back(k);
+      Put(k, 10);
+    }
+    return keys;
+  }
+};
+
+TEST_P(SVEngineUpgradeTest, UpgradeWithinTransaction) {
+  const size_t n = GetParam();
+  std::vector<uint64_t> keys = PutDistinctLockKeys(n);
+  auto increment = [](void* p) { static_cast<Row*>(p)->value += 1; };
+
   SVTransaction* t = engine_->Begin(IsolationLevel::kRepeatableRead);
   Row row{};
-  ASSERT_TRUE(engine_->Read(t, table_, 0, 1, &row).ok());  // S
-  ASSERT_TRUE(engine_->Update(t, table_, 0, 1, [&](void* p) {  // upgrade to X
-                   static_cast<Row*>(p)->value = row.value + 1;
-                 }).ok());
+  for (uint64_t k : keys) {
+    ASSERT_TRUE(engine_->Read(t, table_, 0, k, &row).ok());  // S
+  }
+  ASSERT_EQ(t->locks.size(), n);
+  // Re-reading a held key reuses its lock.
+  ASSERT_TRUE(engine_->Read(t, table_, 0, keys[n / 2], &row).ok());
+  EXPECT_EQ(t->locks.size(), n);
+  // S -> X upgrade in place: no second entry.
+  ASSERT_TRUE(engine_->Update(t, table_, 0, keys[n - 1], increment).ok());
+  EXPECT_EQ(t->locks.size(), n);
   ASSERT_TRUE(engine_->Commit(t).ok());
 
   SVTransaction* check = engine_->Begin(IsolationLevel::kReadCommitted);
-  ASSERT_TRUE(engine_->Read(check, table_, 0, 1, &row).ok());
+  ASSERT_TRUE(engine_->Read(check, table_, 0, keys[n - 1], &row).ok());
   EXPECT_EQ(row.value, 11u);
   ASSERT_TRUE(engine_->Commit(check).ok());
+
+  // A failed upgrade: a second reader shares keys[0], so the upgrade times
+  // out and the engine aborts `t`, undoing its earlier update. The keys go
+  // in reverse order, so a lock index left over from the last transaction
+  // on a recycled handle would point at the wrong entries.
+  t = engine_->Begin(IsolationLevel::kRepeatableRead);
+  for (auto k = keys.rbegin(); k != keys.rend(); ++k) {
+    ASSERT_TRUE(engine_->Read(t, table_, 0, *k, &row).ok());
+  }
+  ASSERT_EQ(t->locks.size(), n);
+  ASSERT_TRUE(engine_->Update(t, table_, 0, keys[n - 1], increment).ok());
+  SVTransaction* rival = engine_->Begin(IsolationLevel::kRepeatableRead);
+  ASSERT_TRUE(engine_->Read(rival, table_, 0, keys[0], &row).ok());
+  Status s = engine_->Update(t, table_, 0, keys[0], increment);
+  ASSERT_TRUE(s.IsAborted());
+  EXPECT_EQ(s.abort_reason(), AbortReason::kLockTimeout);
+  ASSERT_TRUE(engine_->Commit(rival).ok());
+
+  // Every lock was released exactly once: a missed release would make an X
+  // acquisition below time out, and a double release would leave a reader
+  // count that never drains.
+  SVTransaction* writer = engine_->Begin(IsolationLevel::kReadCommitted);
+  for (uint64_t k : keys) {
+    ASSERT_TRUE(engine_->Update(writer, table_, 0, k, increment).ok()) << k;
+  }
+  ASSERT_TRUE(engine_->Commit(writer).ok());
+  check = engine_->Begin(IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(engine_->Read(check, table_, 0, keys[n - 1], &row).ok());
+  EXPECT_EQ(row.value, 12u);  // 11 + writer; the aborted increment undone
+  ASSERT_TRUE(engine_->Commit(check).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(HeldLocks, SVEngineUpgradeTest,
+                         ::testing::Values(size_t{4}, size_t{1000}),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST_F(SVEngineTest, AbortRestoresBeforeImage) {
   Put(1, 10);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 
 #include "cc/deadlock.h"
@@ -24,22 +23,6 @@ TEST(TimestampTest, MonotoneAndUnique) {
     prev = t;
   }
   EXPECT_EQ(gen.Current(), prev);
-}
-
-TEST(TimestampTest, ConcurrentUniqueness) {
-  TimestampGenerator gen;
-  constexpr int kThreads = 8, kPer = 10000;
-  std::vector<std::vector<Timestamp>> drawn(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPer; ++i) drawn[t].push_back(gen.Next());
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<Timestamp> all;
-  for (auto& v : drawn) all.insert(v.begin(), v.end());
-  EXPECT_EQ(all.size(), static_cast<size_t>(kThreads) * kPer);
 }
 
 TEST(TxnIdTest, CappedAt54Bits) {
