@@ -129,8 +129,7 @@ int Run(int argc, char** argv) {
                         return db.Update(t, table, 0, key, [](void* p) {
                           static_cast<Row*>(p)->value += 1;
                         });
-                      },
-                      /*max_retries=*/10);
+                      });
                   if (s.ok()) {
                     ++counters.committed_class2;
                   } else {
@@ -149,8 +148,7 @@ int Run(int argc, char** argv) {
                                             ++visited;
                                             return true;
                                           });
-                    },
-                    /*max_retries=*/10);
+                    });
                 if (s.ok()) {
                   ++counters.committed;
                 } else {

@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
               return db.Update(txn, accounts, 0, to, [&](void* p) {
                 static_cast<Account*>(p)->balance += amount;
               });
-            },
-            /*max_retries=*/100);
+            });
         if (s.ok()) transfers.fetch_add(1);
       }
     });
@@ -107,8 +106,7 @@ int main(int argc, char** argv) {
               total += acc.balance;
             }
             return Status::OK();
-          },
-          /*max_retries=*/100);
+          });
       if (s.ok()) {
         audits.fetch_add(1);
         if (total != static_cast<int64_t>(kAccounts) * kInitial) {

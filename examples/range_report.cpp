@@ -93,10 +93,14 @@ void RunScheme(Scheme scheme) {
     return true;
   });
   Order phantom{900000, 1500};
-  Status insert = db.RunTransaction(
-      IsolationLevel::kReadCommitted,
-      [&](Txn* t) { return db.Insert(t, table, &phantom); },
-      /*max_retries=*/0);
+  // One attempt, no retry: under 1V it waits out the range lock and aborts.
+  Txn* inserter = db.Begin(IsolationLevel::kReadCommitted);
+  Status insert = db.Insert(inserter, table, &phantom);
+  if (insert.ok()) {
+    insert = db.Commit(inserter);
+  } else if (!insert.IsAborted()) {
+    db.Abort(inserter);
+  }
   Status commit = db.Commit(scanner);
   std::printf("  phantom race: insert %s, scanner commit %s\n",
               insert.ok() ? "committed" : "aborted (waited out the range lock)",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter for mvstore. Stdlib only; CI runs it on every PR.
 
-Five invariants the type system cannot express:
+Six invariants the type system cannot express:
 
 1. epoch-guard  — a raw `Version*` may only be dereferenced lexically inside
    an `EpochGuard` scope (epoch-based reclamation is what keeps the pointer
@@ -32,6 +32,13 @@ Five invariants the type system cannot express:
    stable scrape contract, so a histogram in code but not the catalog is
    an undocumented series and a catalog row without code is a stale
    dashboard promise.
+
+6. thread-local — per-thread state that must be handed back when its
+   thread exits comes from util/tls_slots.h, the only module that declares
+   `thread_local` freely. Every other `thread_local` in src/ must be on an
+   allowlist with the reason it needs no release on exit (plain values,
+   scratch buffers); a new per-thread cache that strands its contents on
+   thread exit fails the check.
 
 `--self-test` seeds a temporary tree with known-bad inputs and asserts each
 check still catches them — deleting a check (or breaking its regex) fails CI
@@ -69,6 +76,28 @@ OWNERSHIP_ALLOWLIST = {
 }
 
 HOT_TYPES = ("Version", "Transaction")
+
+# The per-thread slot registry: the one module that keeps per-thread state
+# it must hand back on thread exit.
+TLS_SLOTS_MODULE = ("src/util/tls_slots.h", "src/util/tls_slots.cc")
+
+# (file, variable) -> why this thread_local needs no release on exit.
+THREAD_LOCAL_ALLOWLIST = {
+    ("src/obs/histogram.h", "counter"): "commit-sampling counter: a POD "
+    "value, nothing to hand back",
+    ("src/log/logger.cc", "tl_last_group_wait_ticks"): "last group-commit "
+    "wait of this thread: a POD value",
+    ("src/storage/ordered_index.cc", "state"): "skip-list height RNG state: "
+    "a POD value",
+    ("src/sv/sv_engine.cc", "buffer"): "WriteLog encode buffer: scratch, "
+    "cleared before every use and owned by nothing else",
+    ("src/cc/mv_engine.cc", "buffer"): "WriteLog encode buffer: scratch, "
+    "cleared before every use and owned by nothing else",
+    ("src/txn/timestamp.h", "cached_instance"): "TxnIdGenerator block: POD; "
+    "an abandoned remainder only skips ids",
+    ("src/txn/timestamp.h", "next_raw"): "TxnIdGenerator block: POD",
+    ("src/txn/timestamp.h", "remaining"): "TxnIdGenerator block: POD",
+}
 
 FAILPOINT_RE = re.compile(r'MVSTORE_FAILPOINT\("([^"]+)"\)')
 CATALOG_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
@@ -381,6 +410,31 @@ def check_hist_catalog(root):
     return violations
 
 
+# --- check 6: thread_local outside the slot registry -----------------------
+
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b[^;=]*?\b(\w+)\s*(?:=|;|\{)")
+
+
+def check_thread_local(root):
+    violations = []
+    for rel, path in _iter_source(root):
+        if rel in TLS_SLOTS_MODULE:
+            continue
+        code = _strip_comments_and_strings(_read(path))
+        for m in THREAD_LOCAL_RE.finditer(code):
+            if (rel, m.group(1)) in THREAD_LOCAL_ALLOWLIST:
+                continue
+            lineno = code.count("\n", 0, m.start()) + 1
+            violations.append(
+                f"{rel}:{lineno}: thread_local '{m.group(1)}' outside "
+                f"util/tls_slots.h — per-thread state that must be handed "
+                f"back on thread exit takes a TlsSlots slot; if it needs no "
+                f"release, allowlist it with the reason in "
+                f"scripts/check_invariants.py"
+            )
+    return violations
+
+
 # --- self-test --------------------------------------------------------------
 
 
@@ -511,6 +565,25 @@ def self_test():
         if any("'commit_total'" in v for v in hist):
             failures.append("hist-catalog check flagged a documented histogram")
 
+        _write(
+            root,
+            "src/bad/tls.cc",
+            "void f() {\n"
+            "  thread_local std::vector<void*> cache;\n"
+            "  cache.push_back(nullptr);\n"
+            "}\n",
+        )
+        _write(
+            root,
+            "src/util/tls_slots.h",
+            "inline thread_local void* tl_entries = nullptr;\n",
+        )
+        tls = check_thread_local(root)
+        if not any("src/bad/tls.cc" in v and "'cache'" in v for v in tls):
+            failures.append("thread-local check missed the unlisted cache")
+        if any("src/util/tls_slots.h" in v for v in tls):
+            failures.append("thread-local check flagged the slot registry")
+
     if failures:
         for f in failures:
             print(f"self-test FAILED: {f}", file=sys.stderr)
@@ -542,13 +615,14 @@ def main():
     violations += check_ownership(root)
     violations += check_tsa_optout(root)
     violations += check_hist_catalog(root)
+    violations += check_thread_local(root)
     if violations:
         print(f"{len(violations)} invariant violation(s):", file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 1
     print("invariants ok: epoch-guard, failpoint catalog, ownership, "
-          "tsa-optout, hist-catalog")
+          "tsa-optout, hist-catalog, thread-local")
     return 0
 
 

@@ -459,11 +459,9 @@ Status MVEngine::TakeBucketLockDependencies(Transaction* txn,
 
 Version* MVEngine::FindVisible(Transaction* txn, Table& table, IndexId index_id,
                                uint64_t key, Timestamp read_time,
-                               const Predicate& residual, Status* status,
-                               bool for_update) {
+                               const Predicate& residual, Status* status) {
   *status = Status::OK();
   VisibilityContext ctx = VisCtx(txn, VisibilityMode::kNormalProcessing);
-  ctx.for_update = for_update;
   Version* found = nullptr;
   bool serializable_pessimistic =
       txn->pessimistic && txn->isolation == IsolationLevel::kSerializable;
@@ -759,7 +757,7 @@ Status MVEngine::Update(Transaction* txn, TableId table_id, IndexId index_id,
 
   Status status;
   Version* v = FindVisible(txn, table, index_id, key, ReadTime(txn), nullptr,
-                           &status, /*for_update=*/true);
+                           &status);
   if (!status.ok()) return DoAbort(txn, status.abort_reason());
   if (v == nullptr) return Status::NotFound();
 
@@ -801,7 +799,7 @@ Status MVEngine::Delete(Transaction* txn, TableId table_id, IndexId index_id,
 
   Status status;
   Version* v = FindVisible(txn, table, index_id, key, ReadTime(txn), nullptr,
-                           &status, /*for_update=*/true);
+                           &status);
   if (!status.ok()) return DoAbort(txn, status.abort_reason());
   if (v == nullptr) return Status::NotFound();
 

@@ -183,12 +183,10 @@ class MVEngine {
   VisibilityContext VisCtx(Transaction* txn, VisibilityMode mode);
 
   /// Find the first visible version for key on any index kind; nullptr if
-  /// none. On conflict requiring abort, sets `status`. `for_update` marks
-  /// probes that feed an update/delete (see VisibilityContext::for_update).
+  /// none. On conflict requiring abort, sets `status`.
   Version* FindVisible(Transaction* txn, Table& table, IndexId index_id,
                        uint64_t key, Timestamp read_time,
-                       const Predicate& residual, Status* status,
-                       bool for_update = false);
+                       const Predicate& residual, Status* status);
 
   /// MV/L: acquire a read lock on a latest version (Section 4.2.1).
   /// Returns OK and sets *locked, or an abort status.
@@ -251,8 +249,8 @@ class MVEngine {
   void DrainWaitingList(Transaction* txn);
 
   MVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool flush
-  /// local counters into it on destruction. hists_ keeps the same position
+  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool count
+  /// into it until they die. hists_ keeps the same position
   /// for the same reason (the logger records group waits until it dies).
   StatsCollector stats_;
   obs::LatencyHistograms hists_;

@@ -8,11 +8,14 @@ namespace mvstore {
 
 namespace {
 
-/// Spin until `txn` leaves the Preparing state. Only used during validation,
+/// Spin until `txn` leaves the Preparing state. Used during validation,
 /// where waiting is permitted (the paper forbids blocking only during
-/// *normal processing*). Cannot deadlock: a validating transaction waits
-/// only on transactions that precommitted earlier and therefore hold smaller
-/// end timestamps; those never wait on larger ones through this path.
+/// *normal processing*), and by Read Committed readers (see below). Cannot
+/// deadlock: a validating transaction waits only on transactions that
+/// precommitted earlier and therefore hold smaller end timestamps; those
+/// never wait on larger ones through this path. A Read Committed reader
+/// holds no read locks, and no transaction waits on an Active one, so
+/// nothing the Preparing transaction waits for can be waiting on it.
 TxnState AwaitResolution(Transaction* txn) {
   uint32_t spins = 0;
   TxnState s = txn->state.load(std::memory_order_acquire);
@@ -82,22 +85,6 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
       continue;  // begin field is finalized; reread
     }
 
-    if (tb_state == TxnState::kPreparing && !ctx.for_update &&
-        ctx.mode == VisibilityMode::kNormalProcessing &&
-        self->isolation == IsolationLevel::kReadCommitted) {
-      // Read Committed fast path: no snapshot is promised, so an
-      // uncommitted Preparing creator is handled exactly like an Active
-      // one -- the version is simply not committed yet and the scan falls
-      // through to the latest committed version below it. This sidesteps
-      // the commit dependency (and its futex round trip at commit) that a
-      // speculative read would cost; under an oversubscribed box a
-      // descheduled Preparing writer otherwise strands a growing crowd of
-      // dependents. Snapshot-based levels still speculate: for them the
-      // version IS visible at their read time if TB commits, so skipping
-      // it would serve a stale snapshot, not a different-but-legal one.
-      return result;
-    }
-
     // State is Preparing or Committed. Preparing is published before the
     // end timestamp is drawn (see MVEngine::Commit), so spin out the
     // two-store window if we caught it; by Committed the value is long set.
@@ -111,10 +98,15 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
     // tb_state == kPreparing: V's begin will be ts if TB commits.
     if (read_time < ts) return result;  // invisible either way
 
-    if (ctx.mode == VisibilityMode::kValidation) {
-      // Speculative reads are not allowed during validation. Wait for TB to
-      // resolve; if it commits the version is (potentially) visible, if it
-      // aborts the version is garbage.
+    if (ctx.mode == VisibilityMode::kValidation ||
+        self->isolation == IsolationLevel::kReadCommitted) {
+      // Speculative reads are not allowed during validation. Read Committed
+      // does not speculate either: a commit dependency per hot row costs
+      // more than waiting out the rest of TB's precommit, and skipping V
+      // instead would lose the record if TB commits before the older
+      // version's End field (also ts) is checked. Wait for TB to resolve;
+      // if it commits the version is (potentially) visible, if it aborts
+      // the version is garbage.
       TxnState final_state = AwaitResolution(tb);
       if (final_state == TxnState::kAborted) return result;
       continue;  // re-run with finalized/committed begin
@@ -191,14 +183,6 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
         return result;
       }
       case TxnState::kPreparing: {
-        if (!ctx.for_update && ctx.mode == VisibilityMode::kNormalProcessing &&
-            self->isolation == IsolationLevel::kReadCommitted) {
-          // Read Committed fast path, mirror of the Begin-field case: TE
-          // has not committed, so V is still the latest committed version.
-          // No dependency, no end-timestamp await.
-          result.visible = true;
-          return result;
-        }
         // Spin out the Preparing-before-timestamp window (see
         // MVEngine::Commit precommit ordering).
         Timestamp ts = AwaitEndTimestamp(te);
@@ -207,6 +191,12 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
           // aborts (end stays infinity).
           result.visible = true;
           return result;
+        }
+        if (ctx.mode == VisibilityMode::kNormalProcessing &&
+            self->isolation == IsolationLevel::kReadCommitted) {
+          // Mirror of the Begin-field case: wait for TE, then reread.
+          AwaitResolution(te);
+          continue;
         }
         // ts < read_time: if TE commits V is invisible; if TE aborts it is
         // visible. Speculatively ignore V and depend on TE committing.

@@ -2,26 +2,22 @@
 //
 // Hot paths bump counters on every commit, abort, version install and slab
 // operation, so the cells they write must be core-private: each thread owns
-// a cacheline-aligned cell (acquired through the thread-slot registry and
-// recycled on thread exit) and bumps it with a plain load+store — no RMW,
-// no sharing. Aggregation walks the cells at CounterSnapshot()/Get() time.
-// This generalizes the slab allocator's magazine tally-flush trick to every
-// counter in the engine.
+// a cacheline-aligned cell (a util/tls_slots.h slot, handed back on thread
+// exit) and bumps it with a plain load+store — no RMW, no sharing.
+// Aggregation walks the cells at CounterSnapshot()/Get() time.
 //
-// A thread whose cell cache has already been torn down (counter bumps from
-// other thread-local destructors, e.g. slab magazine flushes) falls back to
-// a shared overflow cell with fetch_add; cells released on thread exit fold
-// their tallies into a retired cell so history survives recycling.
+// A thread without a cell (all taken, or bumps from thread-local destructors
+// that run after its slots were released) falls back to a shared overflow
+// cell with fetch_add; cells released on thread exit fold their tallies
+// into a retired cell so history survives recycling.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
 #include "util/tls_slots.h"
 
 namespace mvstore {
@@ -99,21 +95,13 @@ class StatsCollector {
   /// thread exit, overflow shares the fetch_add cell.
   static constexpr uint32_t kMaxCells = 128;
 
-  StatsCollector()
-      : registry_id_(tls_slots::RegisterOwner(this, &ReleaseCellTrampoline)),
-        cells_(kMaxCells) {}
-
-  ~StatsCollector() {
-    // Before any member dies: no thread-exit callback may touch a
-    // half-destroyed collector.
-    tls_slots::UnregisterOwner(registry_id_);
-  }
+  StatsCollector() : cells_(kMaxCells, [this](Cell& cell) { Retire(cell); }) {}
 
   StatsCollector(const StatsCollector&) = delete;
   StatsCollector& operator=(const StatsCollector&) = delete;
 
   void Add(Stat stat, uint64_t delta = 1) {
-    Cell* cell = MyCell();
+    Cell* cell = cells_.Mine();
     uint32_t i = static_cast<uint32_t>(stat);
     if (cell != nullptr) {
       // Single writer: the cell belongs to this thread until thread exit.
@@ -130,24 +118,16 @@ class StatsCollector {
     uint64_t total =
         retired_.values[i].load(std::memory_order_relaxed) +
         overflow_.values[i].load(std::memory_order_relaxed);
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      total += cells_[c].values[i].load(std::memory_order_relaxed);
-    }
+    cells_.ForEach([&](const Cell& cell) {
+      total += cell.values[i].load(std::memory_order_relaxed);
+    });
     return total;
   }
 
   void Reset() {
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      for (auto& value : cells_[c].values) {
-        value.store(0, std::memory_order_relaxed);
-      }
-    }
-    for (auto& value : retired_.values) value.store(0, std::memory_order_relaxed);
-    for (auto& value : overflow_.values) value.store(0, std::memory_order_relaxed);
+    cells_.ForEach([](Cell& cell) { Zero(cell); });
+    Zero(retired_);
+    Zero(overflow_);
   }
 
   /// Multi-line human-readable dump of all non-zero counters.
@@ -165,57 +145,21 @@ class StatsCollector {
   }
 
   /// High-water mark of cell indexes ever used (tests).
-  uint32_t UsedCells() const {
-    return used_cells_.load(std::memory_order_acquire);
-  }
+  uint32_t UsedCells() const { return cells_.Used(); }
 
  private:
-  struct StatsCellTag {};
-  using CellCache = TlsSlotCache<StatsCellTag>;
-
   struct alignas(kCacheLineSize) Cell {
     std::array<std::atomic<uint64_t>, static_cast<uint32_t>(Stat::kNumStats)>
         values{};
   };
 
-  Cell* MyCell() {
-    uint32_t index = CellCache::Lookup(registry_id_);
-    if (index != CellCache::kNone) return &cells_[index];
-    return AcquireCell();
+  static void Zero(Cell& cell) {
+    for (auto& value : cell.values) value.store(0, std::memory_order_relaxed);
   }
 
-  Cell* AcquireCell() {
-    uint32_t index = CellCache::kNone;
-    {
-      SpinLatchGuard guard(freelist_latch_);
-      if (!free_cells_.empty()) {
-        index = free_cells_.back();
-        free_cells_.pop_back();
-      } else {
-        uint32_t high_water = used_cells_.load(std::memory_order_relaxed);
-        if (high_water < kMaxCells) {
-          index = high_water;
-          used_cells_.store(high_water + 1, std::memory_order_release);
-        }
-      }
-    }
-    if (index == CellCache::kNone) return nullptr;  // exhausted: overflow
-    if (!CellCache::Store(registry_id_, index)) {
-      // Thread tearing down: nothing left to release the cell later.
-      ReleaseCell(index);
-      return nullptr;
-    }
-    return &cells_[index];
-  }
-
-  static void ReleaseCellTrampoline(void* owner, uint32_t cell) {
-    static_cast<StatsCollector*>(owner)->ReleaseCell(cell);
-  }
-
-  void ReleaseCell(uint32_t index) {
-    // Fold the exiting thread's tallies into the retired cell, zero the
-    // cell, and recycle it.
-    Cell& cell = cells_[index];
+  /// Release hook: fold an exiting thread's tallies into the retired cell
+  /// and zero the cell for its next thread.
+  void Retire(Cell& cell) {
     for (uint32_t i = 0; i < cell.values.size(); ++i) {
       uint64_t v = cell.values[i].load(std::memory_order_relaxed);
       if (v != 0) {
@@ -223,17 +167,11 @@ class StatsCollector {
         cell.values[i].store(0, std::memory_order_relaxed);
       }
     }
-    SpinLatchGuard guard(freelist_latch_);
-    free_cells_.push_back(index);
   }
 
-  const uint64_t registry_id_;
-  std::atomic<uint32_t> used_cells_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_cells_ GUARDED_BY(freelist_latch_);
-  std::vector<Cell> cells_;
   Cell retired_{};
   Cell overflow_{};
+  TlsSlots<Cell> cells_;  // last: see util/tls_slots.h
 };
 
 }  // namespace mvstore

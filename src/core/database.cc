@@ -1,7 +1,9 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 namespace mvstore {
 
@@ -261,21 +263,31 @@ Status Database::Delete(Txn* txn, TableId table_id, IndexId index_id,
 }
 
 Status Database::RunTransaction(IsolationLevel isolation,
-                                const std::function<Status(Txn*)>& body,
-                                uint32_t max_retries) {
-  Status s;
-  for (uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
+                                const std::function<Status(Txn*)>& body) {
+  using std::chrono::microseconds;
+  // Bounded by time, not attempts: a descheduled lock holder outlasts any
+  // number of back-to-back retries.
+  constexpr std::chrono::seconds kRetryBudget{1};
+  const auto deadline = std::chrono::steady_clock::now() + kRetryBudget;
+  // The first retry is immediate; later ones back off exponentially from
+  // ~1us, capped at ~1ms, so a rival that holds a lock for a while is
+  // waited out, not raced.
+  microseconds backoff{0};
+  while (true) {
     Txn* txn = Begin(isolation);
-    s = body(txn);
-    if (s.IsAborted()) continue;  // already rolled back; retry
-    if (!s.ok()) {
-      Abort(txn);
-      return s;
+    Status s = body(txn);
+    if (!s.IsAborted()) {  // an aborted body has already been rolled back
+      if (!s.ok()) {
+        Abort(txn);
+        return s;
+      }
+      s = Commit(txn);
+      if (!s.IsAborted()) return s;
     }
-    s = Commit(txn);
-    if (!s.IsAborted()) return s;
+    if (std::chrono::steady_clock::now() >= deadline) return s;
+    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
+    backoff = std::clamp(2 * backoff, microseconds{1}, microseconds{1000});
   }
-  return s;
 }
 
 StatsCollector& Database::stats() {

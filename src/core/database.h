@@ -204,10 +204,11 @@ class Database {
   Status Delete(Txn* txn, TableId table_id, IndexId index_id, uint64_t key);
 
   /// Run `body(txn)` with automatic retry on abort. `body` returns a Status;
-  /// non-abort failures are returned as-is after an internal Abort.
+  /// non-abort failures are returned as-is after an internal Abort. Retries
+  /// back off and stop after about a second; the last abort is then
+  /// returned.
   Status RunTransaction(IsolationLevel isolation,
-                        const std::function<Status(Txn*)>& body,
-                        uint32_t max_retries = 1000);
+                        const std::function<Status(Txn*)>& body);
 
   /// --- durability -------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 // Striped latency histograms for the engine's hot paths.
 //
 // The same discipline as common/counters.h, applied to distributions: each
-// thread owns a cacheline-aligned cell (acquired through the thread-slot
-// registry, recycled on thread exit), and Record() is a handful of plain
+// thread owns a cacheline-aligned cell (a util/tls_slots.h slot, handed
+// back on thread exit), and Record() is a handful of plain
 // load+store pairs on that private cell — no RMW, no sharing, ~1ns. A
 // registry-level enable flag short-circuits Record() to a single relaxed
 // load when observability is off. Aggregation merges the cells into a
@@ -28,10 +28,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "common/port.h"
-#include "common/spin_latch.h"
 #include "util/tls_slots.h"
 
 namespace mvstore {
@@ -200,16 +198,8 @@ class LatencyHistograms {
   static constexpr uint32_t kMaxCells = 64;
 
   explicit LatencyHistograms(bool enabled = true)
-      : registry_id_(tls_slots::RegisterOwner(this, &ReleaseCellTrampoline)),
-        enabled_(enabled),
-        cells_(kMaxCells) {}
-
-  ~LatencyHistograms() {
-    // Before any member dies: no thread-exit callback may touch a
-    // half-destroyed registry.
-    tls_slots::UnregisterOwner(registry_id_);
-    for (auto& slot : cells_) delete slot.load(std::memory_order_relaxed);
-  }
+      : enabled_(enabled),
+        cells_(kMaxCells, [this](Cell& cell) { Retire(cell); }) {}
 
   LatencyHistograms(const LatencyHistograms&) = delete;
   LatencyHistograms& operator=(const LatencyHistograms&) = delete;
@@ -224,7 +214,7 @@ class LatencyHistograms {
   void Record(Hist hist, uint64_t value) {
     if (!enabled_.load(std::memory_order_relaxed)) return;
     uint32_t h = static_cast<uint32_t>(hist);
-    Cell* cell = MyCell();
+    Cell* cell = cells_.Mine();
     if (cell != nullptr) {
       // Single writer: the cell belongs to this thread until thread exit.
       Slot& slot = cell->slots[h];
@@ -255,35 +245,20 @@ class LatencyHistograms {
     uint32_t h = static_cast<uint32_t>(hist);
     MergeSlot(retired_.slots[h], &out);
     MergeSlot(overflow_.slots[h], &out);
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      const Cell* cell = cells_[c].load(std::memory_order_acquire);
-      if (cell != nullptr) MergeSlot(cell->slots[h], &out);
-    }
+    cells_.ForEach([&](const Cell& cell) { MergeSlot(cell.slots[h], &out); });
     return out;
   }
 
   void Reset() {
-    uint32_t used = used_cells_.load(std::memory_order_acquire);
-    if (used > kMaxCells) used = kMaxCells;
-    for (uint32_t c = 0; c < used; ++c) {
-      Cell* cell = cells_[c].load(std::memory_order_acquire);
-      if (cell != nullptr) ZeroCell(cell);
-    }
+    cells_.ForEach([](Cell& cell) { ZeroCell(&cell); });
     ZeroCell(&retired_);
     ZeroCell(&overflow_);
   }
 
   /// High-water mark of cell indexes ever used (tests).
-  uint32_t UsedCells() const {
-    return used_cells_.load(std::memory_order_acquire);
-  }
+  uint32_t UsedCells() const { return cells_.Used(); }
 
  private:
-  struct HistCellTag {};
-  using CellCache = TlsSlotCache<HistCellTag>;
-
   struct Slot {
     std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
     std::atomic<uint64_t> sum{0};
@@ -328,32 +303,14 @@ class LatencyHistograms {
     }
   }
 
-  Cell* MyCell() {
-    uint32_t index = CellCache::Lookup(registry_id_);
-    if (index != CellCache::kNone) {
-      return cells_[index].load(std::memory_order_acquire);
-    }
-    return AcquireCell();
-  }
+  /// Release hook: fold an exiting thread's cell into retired_ and zero it
+  /// for its next thread.
+  void Retire(Cell& cell);
 
-  Cell* AcquireCell();
-
-  static void ReleaseCellTrampoline(void* owner, uint32_t cell) {
-    static_cast<LatencyHistograms*>(owner)->ReleaseCell(cell);
-  }
-
-  void ReleaseCell(uint32_t index);
-
-  const uint64_t registry_id_;
   std::atomic<bool> enabled_;
-  std::atomic<uint32_t> used_cells_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_cells_ GUARDED_BY(freelist_latch_);
-  /// Slot i is written once (nullptr -> heap cell) by the thread that first
-  /// claims index i; the pointer then lives until the registry dies.
-  std::vector<std::atomic<Cell*>> cells_;
   Cell retired_{};
   Cell overflow_{};
+  TlsSlots<Cell> cells_;  // last: see util/tls_slots.h
 };
 
 }  // namespace obs

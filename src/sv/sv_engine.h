@@ -243,8 +243,8 @@ class SVEngine {
   Status DoAbort(SVTransaction* txn, AbortReason reason);
 
   SVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool flush
-  /// local counters into it on destruction. hists_ keeps the same position
+  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool count
+  /// into it until they die. hists_ keeps the same position
   /// for the same reason (the logger records group waits until it dies).
   StatsCollector stats_;
   obs::LatencyHistograms hists_;

@@ -2,65 +2,14 @@
 
 #include <cassert>
 
-#include "util/tls_slots.h"
-
 namespace mvstore {
-namespace {
-
-struct EpochSlotTag {};
-using EpochSlotCache = TlsSlotCache<EpochSlotTag>;
-
-constexpr uint32_t kNoSlot = ~uint32_t{0};
-
-}  // namespace
 
 EpochManager::EpochManager()
-    : registry_id_(tls_slots::RegisterOwner(this, &ReleaseSlotTrampoline)),
-      slots_(kMaxThreads) {}
+    : slots_(kMaxThreads, [this](ThreadSlot& slot) { ReleaseSlot(slot); }) {}
 
-EpochManager::~EpochManager() {
-  // First, before any member dies: no thread-exit callback may touch a
-  // half-destroyed manager.
-  tls_slots::UnregisterOwner(registry_id_);
-  DrainAll();
-}
+EpochManager::~EpochManager() { DrainAll(); }
 
-EpochManager::ThreadSlot* EpochManager::MySlot() {
-  uint32_t index = EpochSlotCache::Lookup(registry_id_);
-  if (index != EpochSlotCache::kNone) return &slots_[index];
-  return AcquireSlot();
-}
-
-EpochManager::ThreadSlot* EpochManager::AcquireSlot() {
-  uint32_t index = kNoSlot;
-  {
-    SpinLatchGuard guard(freelist_latch_);
-    if (!free_slots_.empty()) {
-      index = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      uint32_t high_water = used_slots_.load(std::memory_order_relaxed);
-      if (high_water < kMaxThreads) {
-        index = high_water;
-        used_slots_.store(high_water + 1, std::memory_order_release);
-      }
-    }
-  }
-  if (index == kNoSlot) return nullptr;  // > kMaxThreads concurrent threads
-  if (!EpochSlotCache::Store(registry_id_, index)) {
-    // Thread is tearing down: nothing left to release the slot later.
-    ReleaseSlot(index);
-    return nullptr;
-  }
-  return &slots_[index];
-}
-
-void EpochManager::ReleaseSlotTrampoline(void* owner, uint32_t slot) {
-  static_cast<EpochManager*>(owner)->ReleaseSlot(slot);
-}
-
-void EpochManager::ReleaseSlot(uint32_t index) {
-  ThreadSlot& slot = slots_[index];
+void EpochManager::ReleaseSlot(ThreadSlot& slot) {
   assert(slot.nesting.load(std::memory_order_relaxed) == 0 &&
          "thread exited inside an EpochGuard");
   // Splice leftovers onto the orphan list so the slot starts empty for its
@@ -82,12 +31,10 @@ void EpochManager::ReleaseSlot(uint32_t index) {
   slot.retire_ticker = 0;
   slot.nesting.store(0, std::memory_order_relaxed);
   slot.epoch.store(kIdle, std::memory_order_seq_cst);
-  SpinLatchGuard guard(freelist_latch_);
-  free_slots_.push_back(index);
 }
 
 void EpochManager::Enter() {
-  ThreadSlot* slot = MySlot();
+  ThreadSlot* slot = slots_.Mine();
   if (slot == nullptr) {
     // Slotless guard (thread teardown or slot exhaustion): a shared count
     // plus a conservative epoch floor. The floor only ever moves down while
@@ -112,17 +59,18 @@ void EpochManager::Enter() {
 }
 
 void EpochManager::Exit() {
-  uint32_t index = EpochSlotCache::Lookup(registry_id_);
-  if (index == EpochSlotCache::kNone) {
+  // Peek, not Mine: a guard that entered slotless must leave slotless even
+  // if a slot has freed up meanwhile.
+  ThreadSlot* slot = slots_.Peek();
+  if (slot == nullptr) {
     slotless_guards_.fetch_sub(1, std::memory_order_seq_cst);
     return;
   }
-  ThreadSlot& slot = slots_[index];
-  uint32_t nesting = slot.nesting.load(std::memory_order_relaxed);
+  uint32_t nesting = slot->nesting.load(std::memory_order_relaxed);
   assert(nesting > 0);
-  slot.nesting.store(nesting - 1, std::memory_order_relaxed);
+  slot->nesting.store(nesting - 1, std::memory_order_relaxed);
   if (nesting == 1) {
-    slot.epoch.store(kIdle, std::memory_order_release);
+    slot->epoch.store(kIdle, std::memory_order_release);
   }
 }
 
@@ -132,18 +80,16 @@ uint64_t EpochManager::MinActiveEpoch(uint64_t global) const {
     uint64_t floor = slotless_floor_.load(std::memory_order_seq_cst);
     if (floor != kIdle && floor < min_epoch) min_epoch = floor;
   }
-  uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
-  for (uint32_t i = 0; i < used; ++i) {
-    uint64_t e = slots_[i].epoch.load(std::memory_order_seq_cst);
+  slots_.ForEach([&](const ThreadSlot& slot) {
+    uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
     if (e != kIdle && e < min_epoch) min_epoch = e;
-  }
+  });
   return min_epoch;
 }
 
 void EpochManager::Retire(void* object, Deleter deleter, void* arg) {
   uint64_t tag = global_epoch_.load(std::memory_order_acquire);
-  ThreadSlot* slot = MySlot();
+  ThreadSlot* slot = slots_.Mine();
   if (slot != nullptr) {
     {
       SpinLatchGuard guard(slot->latch);
@@ -181,11 +127,8 @@ void EpochManager::ReclaimUpTo(uint64_t min_active) {
   // One reclaimer at a time; others piggyback on its work and return.
   if (!reclaim_gate_.TryLock()) return;
   std::vector<Retired> to_free;
-  uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
-  for (uint32_t i = 0; i < used; ++i) {
-    ThreadSlot& slot = slots_[i];
-    if (slot.pending.load(std::memory_order_acquire) == 0) continue;
+  slots_.ForEach([&](ThreadSlot& slot) {
+    if (slot.pending.load(std::memory_order_acquire) == 0) return;
     uint64_t freed = 0;
     {
       SpinLatchGuard guard(slot.latch);
@@ -199,7 +142,7 @@ void EpochManager::ReclaimUpTo(uint64_t min_active) {
       }
     }
     if (freed != 0) slot.pending.fetch_sub(freed, std::memory_order_relaxed);
-  }
+  });
   if (orphan_pending_.load(std::memory_order_acquire) != 0) {
     // Orphan entries interleave from many dead threads, so tags are not
     // ordered; compact the (cold, small) queue exactly.
@@ -228,10 +171,7 @@ void EpochManager::ReclaimUpTo(uint64_t min_active) {
 void EpochManager::DrainAll() {
   reclaim_gate_.Lock();
   std::vector<Retired> to_free;
-  uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
-  for (uint32_t i = 0; i < used; ++i) {
-    ThreadSlot& slot = slots_[i];
+  slots_.ForEach([&](ThreadSlot& slot) {
     uint64_t freed = 0;
     {
       SpinLatchGuard guard(slot.latch);
@@ -242,7 +182,7 @@ void EpochManager::DrainAll() {
       }
     }
     if (freed != 0) slot.pending.fetch_sub(freed, std::memory_order_relaxed);
-  }
+  });
   {
     SpinLatchGuard guard(orphans_latch_);
     uint64_t freed = orphans_.size();
@@ -256,11 +196,9 @@ void EpochManager::DrainAll() {
 
 uint64_t EpochManager::PendingCount() const {
   uint64_t total = orphan_pending_.load(std::memory_order_relaxed);
-  uint32_t used = used_slots_.load(std::memory_order_acquire);
-  if (used > kMaxThreads) used = kMaxThreads;
-  for (uint32_t i = 0; i < used; ++i) {
-    total += slots_[i].pending.load(std::memory_order_relaxed);
-  }
+  slots_.ForEach([&](const ThreadSlot& slot) {
+    total += slot.pending.load(std::memory_order_relaxed);
+  });
   return total;
 }
 

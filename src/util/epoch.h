@@ -24,9 +24,9 @@
 // single-vector design compacted O(pending) every pass, quadratic under
 // watermark lag). The global epoch is advanced by CAS only when every
 // active reader has caught up to it, so the shared line is written once per
-// epoch instead of once per attempt. Slots are recycled on thread exit via
-// the thread-slot registry (util/tls_slots.h); a dying thread's queue is
-// spliced onto an orphan list that reclamation passes also drain.
+// epoch instead of once per attempt. Slots come from util/tls_slots.h and
+// are handed back on thread exit; a dying thread's queue is spliced onto an
+// orphan list that reclamation passes also drain.
 //
 // This layer underpins the version garbage collection of Section 2.3
 // (gc/garbage_collector.*): the GC decides *when* a version is invisible to
@@ -40,11 +40,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/port.h"
 #include "common/spin_latch.h"
+#include "util/tls_slots.h"
 
 namespace mvstore {
 
@@ -102,9 +102,7 @@ class EpochManager {
   /// High-water mark of slot indexes ever used. Stays bounded by the peak
   /// number of *concurrent* participants, not the total thread count
   /// (tests churn thousands of short-lived threads through here).
-  uint32_t UsedSlots() const {
-    return used_slots_.load(std::memory_order_acquire);
-  }
+  uint32_t UsedSlots() const { return slots_.Used(); }
 
  private:
   struct Retired {
@@ -126,22 +124,13 @@ class EpochManager {
     std::atomic<uint64_t> pending{0};
   };
 
-  ThreadSlot* MySlot();
-  ThreadSlot* AcquireSlot();
-  void ReleaseSlot(uint32_t index);
-  static void ReleaseSlotTrampoline(void* owner, uint32_t slot);
+  /// Release hook: splice an exiting thread's queue onto orphans_ and
+  /// reset the slot for its next thread.
+  void ReleaseSlot(ThreadSlot& slot);
   uint64_t MinActiveEpoch(uint64_t global) const;
   void ReclaimUpTo(uint64_t min_active);
 
-  /// Keys the per-thread slot caches (never the address: a new manager can
-  /// be allocated where a destroyed one lived).
-  const uint64_t registry_id_;
   alignas(kCacheLineSize) std::atomic<uint64_t> global_epoch_{1};
-
-  std::vector<ThreadSlot> slots_;
-  std::atomic<uint32_t> used_slots_{0};
-  SpinLatch freelist_latch_;
-  std::vector<uint32_t> free_slots_ GUARDED_BY(freelist_latch_);
 
   /// Retirements from dead or slotless threads; drained like a slot queue.
   mutable SpinLatch orphans_latch_;
@@ -156,6 +145,8 @@ class EpochManager {
 
   /// Keeps concurrent reclamation passes from dog-piling on slot latches.
   SpinLatch reclaim_gate_;
+
+  TlsSlots<ThreadSlot> slots_;  // last: see util/tls_slots.h
 };
 
 /// RAII guard: protects raw pointers read from lock-free structures for the

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "cc/mv_engine.h"
@@ -109,6 +111,61 @@ TEST(DatabaseApiTest, RunTransactionRetriesThroughConflicts) {
                 }).ok());
   EXPECT_EQ(row.value, kThreads * kEach);
 }
+
+/// A rival that holds the row's write lock for 50ms is waited out: the
+/// retries back off and are bounded by time, not by a count that
+/// back-to-back attempts use up in microseconds.
+class RunTransactionLockHolderTest : public ::testing::TestWithParam<Scheme> {
+};
+
+TEST_P(RunTransactionLockHolderTest, CommitsAfterWriteLockHeldFor50ms) {
+  DatabaseOptions opts;
+  opts.scheme = GetParam();
+  opts.log_mode = LogMode::kDisabled;
+  Database db(opts);
+  TableId t = MakeTable(db);
+  ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* txn) {
+                  Row row{1, 0};
+                  return db.Insert(txn, t, &row);
+                }).ok());
+
+  Txn* holder = db.Begin(IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(db.Update(holder, t, 0, 1, [](void* p) {
+                  static_cast<Row*>(p)->value += 1;
+                }).ok());
+  std::atomic<bool> started{false};
+  Status rival_status;
+  std::thread rival([&] {
+    started.store(true);
+    rival_status =
+        db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* txn) {
+          return db.Update(txn, t, 0, 1, [](void* p) {
+            static_cast<Row*>(p)->value += 10;
+          });
+        });
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(db.Commit(holder).ok());
+  rival.join();
+  EXPECT_TRUE(rival_status.ok()) << rival_status.ToString();
+
+  Row row{};
+  ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* txn) {
+                  return db.Read(txn, t, 0, 1, &row);
+                }).ok());
+  EXPECT_EQ(row.value, 11);
+}
+
+INSTANTIATE_TEST_SUITE_P(MultiVersion, RunTransactionLockHolderTest,
+                         ::testing::Values(Scheme::kMultiVersionLocking,
+                                           Scheme::kMultiVersionOptimistic),
+                         [](const ::testing::TestParamInfo<Scheme>& info) {
+                           return std::string(
+                               info.param == Scheme::kMultiVersionLocking
+                                   ? "MVL"
+                                   : "MVO");
+                         });
 
 /// Coexistence stress (Section 4.5): optimistic and pessimistic
 /// transactions mixed on the same MV engine preserve the bank invariant.

@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include "common/counters.h"
+#include "mem/object_pool.h"
+#include "mem/slab_allocator.h"
+#include "obs/histogram.h"
 
 namespace mvstore {
 namespace {
@@ -92,25 +99,118 @@ TEST(EpochTest, EpochAdvances) {
 /// not burned one per thread -- kMaxThreads (512) short-lived threads used
 /// to exhaust the slot table for the life of the manager, silently
 /// degrading every later guard to the slotless fallback path.
-TEST(EpochTest, SlotReuseUnderThreadChurn) {
+// Every owner of per-thread slots (util/tls_slots.h), each touched once by
+// each of many sequential short-lived threads. A thread's exit must hand its
+// slot back -- the table stays a handful of slots, not one per thread -- and
+// whatever the slot held must survive: counts, histogram tallies, retired
+// objects, magazine slots and cached pool objects.
+constexpr uint32_t kChurn = 1000;
+
+struct StatsOwner {
+  static constexpr uint32_t kCapacity = StatsCollector::kMaxCells;
+  StatsCollector stats;
+  void Touch() { stats.Add(Stat::kTxnCommitted); }
+  uint32_t Used() const { return stats.UsedCells(); }
+  void Check() { EXPECT_EQ(stats.Get(Stat::kTxnCommitted), kChurn); }
+};
+
+struct HistogramOwner {
+  static constexpr uint32_t kCapacity = obs::LatencyHistograms::kMaxCells;
+  obs::LatencyHistograms hists;
+  void Touch() { hists.Record(obs::Hist::kReadLatency, 7); }
+  uint32_t Used() const { return hists.UsedCells(); }
+  void Check() {
+    obs::HistogramData snap = hists.Snapshot(obs::Hist::kReadLatency);
+    EXPECT_EQ(snap.count, kChurn);
+    EXPECT_EQ(snap.sum, 7u * kChurn);
+    EXPECT_EQ(snap.max, 7u);
+  }
+};
+
+struct EpochOwner {
+  static constexpr uint32_t kCapacity = EpochManager::kMaxThreads;
   EpochManager em;
   std::atomic<int> live{0};
-  constexpr int kChurn = 1000;
-  static_assert(kChurn > static_cast<int>(EpochManager::kMaxThreads),
+  void Touch() {
+    EpochGuard guard(em);
+    em.RetireObject(new Counted(live));
+  }
+  uint32_t Used() const { return em.UsedSlots(); }
+  void Check() {
+    em.DrainAll();
+    EXPECT_EQ(live.load(), 0);
+    EXPECT_EQ(em.PendingCount(), 0u);
+  }
+};
+
+struct SlabOwner {
+  static constexpr uint32_t kCapacity = SlabAllocator::kMaxMagazines;
+  StatsCollector stats;
+  SlabAllocator slab{200, &stats};
+  void Touch() { slab.Free(slab.Allocate()); }
+  uint32_t Used() const { return slab.UsedMagazines(); }
+  void Check() {
+    // An exiting thread's magazine goes back to the spine, so the next
+    // thread refills from it instead of carving a new chunk.
+    EXPECT_LE(slab.chunks_allocated(), 2u);
+    EXPECT_EQ(stats.Get(Stat::kSlabSlotsRecycled), kChurn);
+  }
+};
+
+struct Pooled {
+  explicit Pooled(int v) : value(v) {}
+  void Reset(int v) { value = v; }
+  int value;
+};
+
+struct PoolOwner {
+  static constexpr uint32_t kCapacity = ObjectPool<Pooled>::kMaxCaches;
+  StatsCollector stats;
+  ObjectPool<Pooled> pool{/*enabled=*/true, &stats};
+  void Touch() { pool.Release(pool.Acquire(1)); }
+  uint32_t Used() const { return pool.UsedCaches(); }
+  void Check() {
+    // An exiting thread's cache goes back to the freelist, so the next
+    // thread reuses the object instead of constructing one.
+    EXPECT_LE(stats.Get(Stat::kTxnPoolMisses), 4u);
+    EXPECT_EQ(stats.Get(Stat::kTxnPoolHits) +
+                  stats.Get(Stat::kTxnPoolMisses),
+              kChurn);
+  }
+};
+
+template <typename Owner>
+class SlotChurnTest : public ::testing::Test {};
+
+using SlotOwners = ::testing::Types<StatsOwner, HistogramOwner, EpochOwner,
+                                    SlabOwner, PoolOwner>;
+
+class SlotOwnerNames {
+ public:
+  template <typename Owner>
+  static std::string GetName(int) {
+    if (std::is_same_v<Owner, StatsOwner>) return "Stats";
+    if (std::is_same_v<Owner, HistogramOwner>) return "Histograms";
+    if (std::is_same_v<Owner, EpochOwner>) return "Epoch";
+    if (std::is_same_v<Owner, SlabOwner>) return "Slab";
+    return "Pool";
+  }
+};
+
+TYPED_TEST_SUITE(SlotChurnTest, SlotOwners, SlotOwnerNames);
+
+TYPED_TEST(SlotChurnTest, SlotReuseUnderThreadChurn) {
+  static_assert(kChurn > TypeParam::kCapacity,
                 "churn must exceed the slot table to prove reuse");
-  for (int i = 0; i < kChurn; ++i) {
-    std::thread t([&] {
-      EpochGuard guard(em);
-      em.RetireObject(new Counted(live));
-    });
+  TypeParam owner;
+  for (uint32_t i = 0; i < kChurn; ++i) {
+    std::thread t([&owner] { owner.Touch(); });
     t.join();
   }
   // Sequential churn: each thread released its slot on exit, so the next
   // one found it on the freelist. A handful of slots, not a thousand.
-  EXPECT_LE(em.UsedSlots(), 4u);
-  em.DrainAll();
-  EXPECT_EQ(live.load(), 0);
-  EXPECT_EQ(em.PendingCount(), 0u);
+  EXPECT_LE(owner.Used(), 4u);
+  owner.Check();
 }
 
 TEST(EpochTest, ConcurrentReadersAndRetirers) {

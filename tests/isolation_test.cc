@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "core/database.h"
@@ -335,20 +337,77 @@ TEST_P(IsolationTest, SnapshotReadsAreConsistent) {
   writer.join();
 }
 
+std::string SchemeName(const ::testing::TestParamInfo<Scheme>& info) {
+  switch (info.param) {
+    case Scheme::kSingleVersion:
+      return "SV";
+    case Scheme::kMultiVersionLocking:
+      return "MVL";
+    default:
+      return "MVO";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, IsolationTest,
                          ::testing::Values(Scheme::kSingleVersion,
                                            Scheme::kMultiVersionLocking,
                                            Scheme::kMultiVersionOptimistic),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Scheme::kSingleVersion:
-                               return std::string("SV");
-                             case Scheme::kMultiVersionLocking:
-                               return std::string("MVL");
-                             default:
-                               return std::string("MVO");
-                           }
-                         });
+                         SchemeName);
+
+/// Read Committed stress: two updaters and two readers on a few rows for
+/// about a second. A row that exists is never NotFound. A reader that meets
+/// a Preparing updater whose end timestamp is already at or below its read
+/// time must read the new version speculatively: skipping to the older
+/// version loses the row if the updater commits first, because the older
+/// version's end is that same timestamp.
+using ReadCommittedStressTest = IsolationTest;
+
+TEST_P(ReadCommittedStressTest, ReadNeverMissesAnExistingRow) {
+  constexpr uint64_t kRows = 4;
+  for (uint64_t k = 0; k < kRows; ++k) Put(k, 0);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> not_found{0};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Random rng(w + 1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        Txn* txn = db_->Begin(IsolationLevel::kReadCommitted);
+        Status s = db_->Update(txn, table_, 0, rng.Uniform(kRows),
+                               [](void* p) { static_cast<Row*>(p)->value++; });
+        if (s.ok()) {
+          db_->Commit(txn);
+        } else if (!s.IsAborted()) {
+          db_->Abort(txn);
+        }
+      }
+    });
+  }
+  for (uint64_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Random rng(r + 100);
+      Row row{};
+      while (!stop.load(std::memory_order_relaxed)) {
+        Txn* txn = db_->Begin(IsolationLevel::kReadCommitted);
+        Status s = db_->Read(txn, table_, 0, rng.Uniform(kRows), &row);
+        if (s.IsNotFound()) not_found.fetch_add(1);
+        if (!s.IsAborted()) db_->Commit(txn);
+        reads.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  stop.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(not_found.load(), 0u) << "of " << reads.load() << " reads";
+}
+
+INSTANTIATE_TEST_SUITE_P(MultiVersion, ReadCommittedStressTest,
+                         ::testing::Values(Scheme::kMultiVersionLocking,
+                                           Scheme::kMultiVersionOptimistic),
+                         SchemeName);
 
 }  // namespace
 }  // namespace mvstore

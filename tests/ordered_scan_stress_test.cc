@@ -126,8 +126,7 @@ TEST_P(OrderedScanChurnTest, IteratorsSurviveNodeRetirementChurn) {
               row->checksum =
                   CheckedRow::Checksum(row->key, row->group, row->value);
             });
-          },
-          /*max_retries=*/20);
+          });
     }
   });
 

@@ -56,6 +56,19 @@ class PhantomRangeTest : public ::testing::TestWithParam<Scheme> {
                     .ok());
   }
 
+  /// One Read Committed insert attempt, no retry: the 1V cases assert that
+  /// this attempt times out on the scanner's range lock.
+  Status InsertOnce(const Row& row) {
+    Txn* t = db_->Begin(IsolationLevel::kReadCommitted);
+    Status s = db_->Insert(t, table_, &row);
+    if (s.IsAborted()) return s;  // already rolled back
+    if (!s.ok()) {
+      db_->Abort(t);
+      return s;
+    }
+    return db_->Commit(t);
+  }
+
   /// Scan [lo, hi] on the ordered index inside `txn`; returns row count.
   size_t ScanCount(Txn* txn, uint64_t lo, uint64_t hi) {
     size_t n = 0;
@@ -78,10 +91,7 @@ TEST_P(PhantomRangeTest, ConflictingInsertAbortsScannerOrInserter) {
 
   // A concurrent transaction inserts group 25 — inside the scanned range.
   Row phantom{99, 25, 0};
-  Status insert_status =
-      db_->RunTransaction(IsolationLevel::kReadCommitted,
-                          [&](Txn* t) { return db_->Insert(t, table_, &phantom); },
-                          /*max_retries=*/0);
+  Status insert_status = InsertOnce(phantom);
 
   if (GetParam() == Scheme::kSingleVersion) {
     // Lock-based prevention: the inserter hit the scanner's range lock and
@@ -130,10 +140,7 @@ TEST_P(PhantomRangeTest, EqualityProbeOnOrderedIndexIsPhantomSafe) {
   ASSERT_EQ(n, 0u);  // nothing with group 25 yet
 
   Row phantom{97, 25, 0};
-  Status insert_status =
-      db_->RunTransaction(IsolationLevel::kReadCommitted,
-                          [&](Txn* t) { return db_->Insert(t, table_, &phantom); },
-                          /*max_retries=*/0);
+  Status insert_status = InsertOnce(phantom);
   if (GetParam() == Scheme::kSingleVersion) {
     EXPECT_TRUE(insert_status.IsAborted());
     EXPECT_TRUE(db_->Commit(scanner).ok());

@@ -128,8 +128,7 @@ TEST_P(ScanTableTest, SnapshotScanIsConsistentUnderChurn) {
             return db_->Update(t, table_, 0, b, [](void* p) {
               static_cast<Row*>(p)->value += 3;
             });
-          },
-          /*max_retries=*/50);
+          });
     }
   });
 

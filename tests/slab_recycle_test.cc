@@ -92,8 +92,7 @@ TEST(SlabAllocatorTest, ExportsCounters) {
 
   EXPECT_GT(stats.Get(Stat::kSlabChunksAllocated), 0u);
   EXPECT_EQ(stats.Get(Stat::kSlabChunksAllocated), slab.chunks_allocated());
-  // 3000 hits/recycles overflow the local-tally flush threshold (1024), so
-  // the exported counters must have caught up at least partially.
+  // Every hit, recycle and miss is one stat-cell add.
   EXPECT_GT(stats.Get(Stat::kSlabMagazineHits), 0u);
   EXPECT_GT(stats.Get(Stat::kSlabSlotsRecycled), 0u);
   EXPECT_GT(stats.Get(Stat::kSlabMagazineMisses), 0u);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -146,37 +147,25 @@ TEST_F(VisibilityTest, Table1PreparingSpeculativeRead) {
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeReads), 1u);
 }
 
-TEST_F(VisibilityTest, Table1PreparingReadCommittedNeverSpeculates) {
-  // Same situation as Table1PreparingSpeculativeRead, but the reader runs
-  // at Read Committed: no snapshot promise, so the Preparing creator is
-  // treated like an Active one -- invisible, and no commit dependency.
+TEST_F(VisibilityTest, Table1PreparingReadCommittedWaitsForCreator) {
+  // Same situation as Table1PreparingSpeculativeRead, at Read Committed:
+  // no speculation and no skip. Skipping V would lose the record if TB
+  // commits before the older version's End field (also TS=30 <= RT) is
+  // checked, so the reader waits for TB and sees the committed outcome.
   Transaction* self = NewTxn(100, TxnState::kActive);
   self->isolation = IsolationLevel::kReadCommitted;
   Transaction* tb = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTxnId(200),
                           lockword::MakeTimestamp(kInfinity));
-  EXPECT_FALSE(CheckVisibility(Ctx(self), v, 40).visible);
+  std::thread committer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    tb->state.store(TxnState::kCommitted);
+  });
+  VisibilityResult r = CheckVisibility(Ctx(self), v, 40);
+  committer.join();
+  EXPECT_TRUE(r.visible);
   EXPECT_EQ(self->commit_dep_counter.load(), 0u);
-  {
-    SpinLatchGuard g(tb->dep_latch);
-    EXPECT_TRUE(tb->commit_dep_set.empty());
-  }
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeReads), 0u);
-}
-
-TEST_F(VisibilityTest, Table1PreparingReadCommittedUpdateStillSpeculates) {
-  // An update-path probe (for_update) speculates even at Read Committed:
-  // surfacing the older version would only hand the updater a guaranteed
-  // write-write abort against the Preparing writer's lock.
-  Transaction* self = NewTxn(100, TxnState::kActive);
-  self->isolation = IsolationLevel::kReadCommitted;
-  NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
-                          lockword::MakeTimestamp(kInfinity));
-  VisibilityContext ctx = Ctx(self);
-  ctx.for_update = true;
-  EXPECT_TRUE(CheckVisibility(ctx, v, 40).visible);
-  EXPECT_EQ(self->commit_dep_counter.load(), 1u);
 }
 
 TEST_F(VisibilityTest, Table1PreparingTooNewInvisibleNoDep) {
@@ -267,21 +256,23 @@ TEST_F(VisibilityTest, Table2PreparingSpeculativeIgnore) {
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeIgnores), 1u);
 }
 
-TEST_F(VisibilityTest, Table2PreparingReadCommittedStaysVisibleNoDep) {
-  // Mirror of Table2PreparingSpeculativeIgnore at Read Committed: TE has
-  // not committed, so V is still the latest committed version -- visible,
-  // and no commit dependency.
+TEST_F(VisibilityTest, Table2PreparingReadCommittedWaitsForWriter) {
+  // Mirror of Table1PreparingReadCommittedWaitsForCreator on the End field:
+  // TS=30 <= RT=50, so the reader waits for TE instead of speculatively
+  // ignoring V; TE commits, and V ends before the read time.
   Transaction* self = NewTxn(100, TxnState::kActive);
   self->isolation = IsolationLevel::kReadCommitted;
   Transaction* te = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
                           lockword::MakeLockWord(0, 200));
-  EXPECT_TRUE(CheckVisibility(Ctx(self), v, 50).visible);
+  std::thread committer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    te->state.store(TxnState::kCommitted);
+  });
+  VisibilityResult r = CheckVisibility(Ctx(self), v, 50);
+  committer.join();
+  EXPECT_FALSE(r.visible);
   EXPECT_EQ(self->commit_dep_counter.load(), 0u);
-  {
-    SpinLatchGuard g(te->dep_latch);
-    EXPECT_TRUE(te->commit_dep_set.empty());
-  }
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeIgnores), 0u);
 }
 
