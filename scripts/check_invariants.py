@@ -26,12 +26,14 @@ Six invariants the type system cannot express:
    express it. An unexplained opt-out is an unreviewed hole in the
    compile-time lock discipline.
 
-5. hist-catalog — the histogram names in obs::HistName()
-   (src/obs/histogram.h) and the metric-catalog table in
-   docs/OBSERVABILITY.md must match bidirectionally: metric names are a
-   stable scrape contract, so a histogram in code but not the catalog is
-   an undocumented series and a catalog row without code is a stale
-   dashboard promise.
+5. metric-catalog — two name sets must each match docs/OBSERVABILITY.md
+   bidirectionally: the histogram names in obs::HistName()
+   (src/obs/histogram.h) against the latency-histogram table, and the
+   literal `AppendPromGauge(&out, "mvstore_...")` names anywhere in src/
+   against the backticked names in the Gauges table. Metric names are a
+   stable scrape contract, so a series in code but not the catalog is
+   undocumented and a catalog row without code is a stale dashboard
+   promise.
 
 6. thread-local — per-thread state that must be handed back when its
    thread exits comes from util/tls_slots.h, the only module that declares
@@ -355,7 +357,7 @@ def check_tsa_optout(root):
     return violations
 
 
-# --- check 5: histogram metric catalog --------------------------------------
+# --- check 5: metric catalog (histograms and gauges) -----------------------
 
 HIST_NAMES_BLOCK_RE = re.compile(
     r"static\s+const\s+char\*\s+kNames\[\]\s*=\s*\{(.*?)\};", re.S
@@ -368,19 +370,53 @@ def _code_hist_names(histogram_h):
     return set(HIST_NAME_RE.findall(m.group(1))) if m else set()
 
 
+def _catalog_section(observability_md, heading):
+    """The lines of the section that starts at `heading`, up to the next
+    heading."""
+    lines = []
+    in_section = False
+    for line in observability_md.splitlines():
+        if line.startswith(heading):
+            in_section = True
+            continue
+        if in_section and line.startswith(("## ", "### ")):
+            break
+        if in_section:
+            lines.append(line)
+    return lines
+
+
 def _catalog_hist_names(observability_md):
     names = set()
-    in_catalog = False
-    for line in observability_md.splitlines():
-        if line.startswith("### Latency histogram families"):
-            in_catalog = True
-            continue
-        if in_catalog and line.startswith(("## ", "### ")):
-            break
-        if in_catalog:
-            m = CATALOG_ROW_RE.match(line)
-            if m:
-                names.add(m.group(1))
+    for line in _catalog_section(observability_md,
+                                 "### Latency histogram families"):
+        m = CATALOG_ROW_RE.match(line)
+        if m:
+            names.add(m.group(1))
+    return names
+
+
+GAUGE_CALL_RE = re.compile(
+    r'\bAppendPromGauge\(\s*&?\w+\s*,\s*"(mvstore_[a-z0-9_]+)"')
+GAUGE_NAME_RE = re.compile(r"`(mvstore_[a-z0-9_]+)`")
+
+
+def _code_gauge_names(root):
+    names = {}
+    for rel, path in _iter_source(root):
+        for m in GAUGE_CALL_RE.finditer(_read(path)):
+            names.setdefault(m.group(1), rel)
+    return names
+
+
+def _catalog_gauge_names(observability_md):
+    """Backticked names in the first column of the Gauges table; a row may
+    name several (`a` / `b`)."""
+    names = set()
+    for line in _catalog_section(observability_md, "### Gauges"):
+        cells = line.split("|")
+        if line.startswith("|") and len(cells) > 2:
+            names.update(GAUGE_NAME_RE.findall(cells[1]))
     return names
 
 
@@ -406,6 +442,29 @@ def check_hist_catalog(root):
         violations.append(
             f"docs/OBSERVABILITY.md catalogs histogram '{name}' but "
             f"obs::HistName() has no such name"
+        )
+    return violations
+
+
+def check_gauge_catalog(root):
+    code_gauges = _code_gauge_names(root)
+    doc_path = os.path.join(root, "docs", "OBSERVABILITY.md")
+    if not os.path.exists(doc_path):
+        if code_gauges:
+            return ["docs/OBSERVABILITY.md missing (the Gauges table lives "
+                    "there)"]
+        return []
+    catalog = _catalog_gauge_names(_read(doc_path))
+    violations = []
+    for name in sorted(set(code_gauges) - catalog):
+        violations.append(
+            f"gauge '{name}' ({code_gauges[name]}) is not in the "
+            f"docs/OBSERVABILITY.md Gauges table"
+        )
+    for name in sorted(catalog - set(code_gauges)):
+        violations.append(
+            f"docs/OBSERVABILITY.md lists gauge '{name}' but no "
+            f"AppendPromGauge(&out, \"{name}\", ...) exists in src/"
         )
     return violations
 
@@ -555,6 +614,11 @@ def self_test():
             "|--------|------|----------|\n"
             "| `commit_total` | whole commit | 1-in-32 |\n"
             "| `stale_hist` | removed long ago | no |\n\n"
+            "### Gauges\n\n"
+            "| Gauge | Meaning |\n"
+            "|-------|---------|\n"
+            "| `mvstore_documented_gauge` / `mvstore_paired_gauge` | x |\n"
+            "| `mvstore_stale_gauge` | removed long ago |\n\n"
             "### Counters\n",
         )
         hist = check_hist_catalog(root)
@@ -564,6 +628,25 @@ def self_test():
             failures.append("hist-catalog check missed the stale catalog row")
         if any("'commit_total'" in v for v in hist):
             failures.append("hist-catalog check flagged a documented histogram")
+
+        _write(
+            root,
+            "src/server/gauges.cc",
+            "void F(std::string& out) {\n"
+            '  obs::AppendPromGauge(&out, "mvstore_documented_gauge", 1);\n'
+            '  obs::AppendPromGauge(&out, "mvstore_paired_gauge", 1);\n'
+            "  obs::AppendPromGauge(\n"
+            '      &out, "mvstore_undocumented_gauge", 2);\n'
+            "}\n",
+        )
+        gauges = check_gauge_catalog(root)
+        if not any("'mvstore_undocumented_gauge'" in v for v in gauges):
+            failures.append("gauge-catalog check missed the undocumented gauge")
+        if not any("'mvstore_stale_gauge'" in v for v in gauges):
+            failures.append("gauge-catalog check missed the stale table row")
+        if any("'mvstore_documented_gauge'" in v or
+               "'mvstore_paired_gauge'" in v for v in gauges):
+            failures.append("gauge-catalog check flagged a documented gauge")
 
         _write(
             root,
@@ -615,6 +698,7 @@ def main():
     violations += check_ownership(root)
     violations += check_tsa_optout(root)
     violations += check_hist_catalog(root)
+    violations += check_gauge_catalog(root)
     violations += check_thread_local(root)
     if violations:
         print(f"{len(violations)} invariant violation(s):", file=sys.stderr)
@@ -622,7 +706,7 @@ def main():
             print(f"  {v}", file=sys.stderr)
         return 1
     print("invariants ok: epoch-guard, failpoint catalog, ownership, "
-          "tsa-optout, hist-catalog, thread-local")
+          "tsa-optout, metric-catalog, thread-local")
     return 0
 
 

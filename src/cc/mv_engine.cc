@@ -648,16 +648,21 @@ Status MVEngine::ScanTable(Transaction* txn, TableId table_id,
 
 Status MVEngine::Read(Transaction* txn, TableId table_id, IndexId index_id,
                       uint64_t key, void* out) {
-  Table& table = catalog_.table(table_id);
-  bool found = false;
+  // The consumer captures one pointer, so it fits std::function's small
+  // buffer: a point read does not heap-allocate.
+  struct Target {
+    void* out;
+    uint32_t size;
+    bool found;
+  } target{out, catalog_.table(table_id).payload_size(), false};
   Status s = Scan(txn, table_id, index_id, key, nullptr,
-                  [&](const void* payload) {
-                    std::memcpy(out, payload, table.payload_size());
-                    found = true;
+                  [t = &target](const void* payload) {
+                    std::memcpy(t->out, payload, t->size);
+                    t->found = true;
                     return false;
                   });
   if (!s.ok()) return s;
-  return found ? Status::OK() : Status::NotFound();
+  return target.found ? Status::OK() : Status::NotFound();
 }
 
 namespace {

@@ -30,6 +30,12 @@ TxnState AwaitResolution(Transaction* txn) {
   return s;
 }
 
+/// A Read Committed reader is about to wait out a Preparing writer instead
+/// of speculating: count it, so the cost of not speculating shows.
+void CountReadCommittedWait(const VisibilityContext& ctx) {
+  if (ctx.stats != nullptr) ctx.stats->Add(Stat::kRcPreparingWaits);
+}
+
 }  // namespace
 
 VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
@@ -107,6 +113,9 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
       // version's End field (also ts) is checked. Wait for TB to resolve;
       // if it commits the version is (potentially) visible, if it aborts
       // the version is garbage.
+      if (self->isolation == IsolationLevel::kReadCommitted) {
+        CountReadCommittedWait(ctx);
+      }
       TxnState final_state = AwaitResolution(tb);
       if (final_state == TxnState::kAborted) return result;
       continue;  // re-run with finalized/committed begin
@@ -195,6 +204,7 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
         if (ctx.mode == VisibilityMode::kNormalProcessing &&
             self->isolation == IsolationLevel::kReadCommitted) {
           // Mirror of the Begin-field case: wait for TE, then reread.
+          CountReadCommittedWait(ctx);
           AwaitResolution(te);
           continue;
         }

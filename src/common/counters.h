@@ -38,6 +38,7 @@ enum class Stat : uint32_t {
   kSpeculativeIgnores,
   kWaitForDepsTaken,
   kPrecommitWaits,
+  kRcPreparingWaits,
   kVersionsCreated,
   kVersionsCollected,
   kDeadlocksDetected,
@@ -72,8 +73,9 @@ inline const char* StatName(Stat stat) {
       "abort_validation",   "abort_phantom",      "abort_cascading",
       "abort_deadlock",     "abort_lock_failed",  "commit_deps_taken",
       "commit_dep_waits",   "speculative_reads",  "speculative_ignores",
-      "waitfor_deps_taken", "precommit_waits",    "versions_created",
-      "versions_collected", "deadlocks_detected", "lock_waits",
+      "waitfor_deps_taken", "precommit_waits",    "rc_preparing_waits",
+      "versions_created",   "versions_collected", "deadlocks_detected",
+      "lock_waits",
       "slab_chunks_allocated", "slab_magazine_hits", "slab_magazine_misses",
       "slab_slots_recycled", "txn_pool_hits",     "txn_pool_misses",
       "log_segments_rotated", "log_segments_deleted", "log_write_errors",

@@ -1,8 +1,19 @@
 #include "gc/garbage_collector.h"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace mvstore {
+
+GarbageCollector::GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
+                                   StatsCollector& stats,
+                                   uint32_t interval_us)
+    : txn_table_(txn_table),
+      epoch_(epoch),
+      stats_(stats),
+      interval_us_(interval_us),
+      slots_(kMaxThreads, [this](Slot& slot) { ReleaseSlot(slot); }) {}
 
 void GarbageCollector::Start() {
   bool expected = false;
@@ -20,83 +31,201 @@ void GarbageCollector::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
+GarbageCollector::Queue::~Queue() {
+  while (head_ != nullptr) delete std::exchange(head_, head_->next);
+  delete spare_;
+}
+
+void GarbageCollector::Queue::PushBack(const Item& item) {
+  if (tail_ == nullptr || tail_pos_ == kBlockItems) {
+    Block* block = spare_ != nullptr ? std::exchange(spare_, nullptr)
+                                     : new Block;
+    block->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = block;
+    } else {
+      tail_->next = block;
+    }
+    tail_ = block;
+    tail_pos_ = 0;
+  }
+  tail_->items[tail_pos_++] = item;
+  ++size_;
+}
+
+GarbageCollector::Item GarbageCollector::Queue::PopFront() {
+  const Item item = head_->items[head_pos_++];
+  if (--size_ == 0) {
+    // Empty: head_ == tail_; rewind within the block in hand.
+    head_pos_ = tail_pos_ = 0;
+  } else if (head_pos_ == kBlockItems) {
+    Block* done = std::exchange(head_, head_->next);
+    head_pos_ = 0;
+    if (spare_ == nullptr) {
+      spare_ = done;
+    } else {
+      delete done;
+    }
+  }
+  return item;
+}
+
 void GarbageCollector::Enqueue(Table* table, Version* version,
                                Timestamp retire_after) {
-  uint32_t shard =
-      enqueue_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards;
-  {
-    SpinLatchGuard guard(shards_[shard].latch);
-    shards_[shard].queue.push_back(Item{table, version, retire_after});
+  const Item item{table, version, retire_after};
+  if (Slot* slot = slots_.Mine()) {
+    SpinLatchGuard guard(slot->latch);
+    if (slot->queue.size() == 0) {
+      slot->oldest.store(retire_after, std::memory_order_relaxed);
+    }
+    slot->queue.PushBack(item);
+    return;
   }
-  pending_.fetch_add(1, std::memory_order_relaxed);
+  SpinLatchGuard guard(orphans_latch_);
+  orphans_.PushBack(item);
 }
 
 void GarbageCollector::EnqueueImmediate(Table* table, Version* version) {
   Enqueue(table, version, 0);
 }
 
-uint32_t GarbageCollector::Drain(Shard& shard, Timestamp watermark,
-                                 uint32_t budget) {
-  drains_in_flight_.fetch_add(1, std::memory_order_acquire);
-  // Collect reclaimable items under the latch; unlink/retire outside it.
-  std::vector<Item> ready;
-  {
-    SpinLatchGuard guard(shard.latch);
-    uint32_t scanned = 0;
-    // Items are roughly timestamp-ordered (enqueued at commit time), so a
-    // front-drain finds ready items first; stop at the first blocked item
-    // to keep the pass O(budget).
-    while (!shard.queue.empty() && ready.size() < budget &&
-           scanned < budget * 4) {
-      const Item& item = shard.queue.front();
-      if (item.retire_after >= watermark) break;
-      ready.push_back(item);
-      shard.queue.pop_front();
-      ++scanned;
-    }
+void GarbageCollector::ReleaseSlot(Slot& slot) {
+  SpinLatchGuard guard(slot.latch);
+  if (slot.queue.size() == 0) return;
+  SpinLatchGuard orphans_guard(orphans_latch_);
+  while (slot.queue.size() != 0) orphans_.PushBack(slot.queue.PopFront());
+  slot.oldest.store(kInfinity, std::memory_order_relaxed);
+}
+
+uint32_t GarbageCollector::PopReady(Slot& slot, Timestamp watermark,
+                                    Item* batch, uint32_t max) {
+  Queue& queue = slot.queue;
+  uint32_t n = 0;
+  while (n < max && queue.size() != 0 &&
+         queue.front().retire_after < watermark) {
+    batch[n++] = queue.PopFront();
   }
-  for (const Item& item : ready) {
-    item.table->UnlinkFromAllIndexes(item.version);
+  if (n != 0) {
+    slot.oldest.store(
+        queue.size() != 0 ? queue.front().retire_after : kInfinity,
+        std::memory_order_relaxed);
+  }
+  return n;
+}
+
+void GarbageCollector::Reclaim(const Item* batch, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    batch[i].table->UnlinkFromAllIndexes(batch[i].version);
     // The deleter routes the slot back to the owning table's slab (or the
     // heap in fallback mode) once no lock-free scan can still reach it.
-    epoch_.Retire(item.version, &Table::VersionDeleter, item.table);
-    stats_.Add(Stat::kVersionsCollected);
+    epoch_.Retire(batch[i].version, &Table::VersionDeleter, batch[i].table);
   }
-  pending_.fetch_sub(ready.size(), std::memory_order_relaxed);
-  drains_in_flight_.fetch_sub(1, std::memory_order_release);
-  return static_cast<uint32_t>(ready.size());
+  stats_.Add(Stat::kVersionsCollected, n);
 }
 
 uint32_t GarbageCollector::Cooperate(uint32_t budget) {
-  if (budget == 0) return 0;
-  if (pending_.load(std::memory_order_relaxed) == 0) return 0;
-  Timestamp now = now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
-  Timestamp watermark = CachedWatermark(now);
-  uint32_t shard =
-      drain_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return Drain(shards_[shard], watermark, budget);
+  Slot* slot = slots_.Peek();
+  if (budget == 0 || slot == nullptr) return 0;
+  const Timestamp front = slot->oldest.load(std::memory_order_relaxed);
+  if (front == kInfinity) return 0;
+  // The last cached watermark first: it needs neither the clock nor a
+  // refresh check. Refresh only if the oldest item is not yet ready.
+  Timestamp watermark = txn_table_.LastMinActiveBeginTs();
+  if (front >= watermark) {
+    watermark = CachedWatermark();
+    if (front >= watermark) return 0;
+  }
+  uint32_t total = 0;
+  while (total < budget) {
+    Item batch[kBatch];  // only [0, n) is read: no need to zero it
+    uint32_t n = 0;
+    {
+      SpinLatchGuard guard(slot->latch);
+      n = PopReady(*slot, watermark, batch, std::min(budget - total, kBatch));
+      if (n == 0) break;
+      slot->draining.store(true, std::memory_order_relaxed);
+    }
+    Reclaim(batch, n);
+    slot->draining.store(false, std::memory_order_release);
+    total += n;
+  }
+  return total;
+}
+
+uint64_t GarbageCollector::DrainSlot(Slot& slot, Timestamp watermark) {
+  uint64_t total = 0;
+  for (;;) {
+    Item batch[kBatch];
+    uint32_t n = 0;
+    {
+      SpinLatchGuard guard(slot.latch);
+      n = PopReady(slot, watermark, batch, kBatch);
+    }
+    if (n == 0) return total;
+    Reclaim(batch, n);
+    total += n;
+  }
+}
+
+uint64_t GarbageCollector::DrainOrphans(Timestamp watermark) {
+  // Unordered: visit each item present at the start once, popping the
+  // ready ones into the batch and rotating the rest to the back.
+  uint64_t total = 0;
+  uint64_t unvisited = 0;
+  {
+    SpinLatchGuard guard(orphans_latch_);
+    unvisited = orphans_.size();
+  }
+  while (unvisited != 0) {
+    Item batch[kBatch];
+    uint32_t n = 0;
+    {
+      SpinLatchGuard guard(orphans_latch_);
+      for (; unvisited != 0 && n < kBatch; --unvisited) {
+        Item item = orphans_.PopFront();
+        if (item.retire_after < watermark) {
+          batch[n++] = item;
+        } else {
+          orphans_.PushBack(item);
+        }
+      }
+    }
+    Reclaim(batch, n);
+    total += n;
+  }
+  return total;
 }
 
 uint64_t GarbageCollector::RunOnce() {
   MutexLock lock(run_once_mutex_);
   const uint64_t t_start =
       (hists_ != nullptr && hists_->enabled()) ? obs::NowTicks() : 0;
-  Timestamp now = now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
-  Timestamp watermark = Watermark(now);
+  const Timestamp watermark = Watermark(Now());
   uint64_t total = 0;
-  for (auto& shard : shards_) {
-    uint32_t n;
-    do {
-      n = Drain(shard, watermark, 256);
-      total += n;
-    } while (n > 0);
-  }
-  // Our own drains are done; wait out any worker still between its
-  // Cooperate pop and the unlink, so our return implies "unlinked".
-  while (drains_in_flight_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
+  slots_.ForEach([&](Slot& slot) { total += DrainSlot(slot, watermark); });
+  total += DrainOrphans(watermark);
+  // Our own drains are done; wait out any owner still between its
+  // Cooperate pop and the unlink, so our return implies "unlinked". Every
+  // slot's latch was taken above, so a pop before it is visible here.
+  slots_.ForEach([](const Slot& slot) {
+    while (slot.draining.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
   if (t_start != 0) hists_->RecordSince(obs::Hist::kGcPass, t_start);
+  return total;
+}
+
+uint64_t GarbageCollector::PendingCount() const {
+  uint64_t total = 0;
+  {
+    SpinLatchGuard guard(orphans_latch_);
+    total = orphans_.size();
+  }
+  slots_.ForEach([&](const Slot& slot) {
+    SpinLatchGuard guard(slot.latch);
+    total += slot.queue.size();
+  });
   return total;
 }
 

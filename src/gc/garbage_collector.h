@@ -10,65 +10,87 @@
 // Reclamation = unlink from every index, then epoch-retire the memory (a
 // concurrent scan may still hold the pointer).
 //
-// "Collection is handled cooperatively by all threads": worker threads drain
-// a small budget at transaction boundaries; a background thread sweeps up
-// the rest.
+// "Collection is handled cooperatively by all threads" without becoming a
+// critical section: every thread queues the versions its own transactions
+// made obsolete on its own slot (util/tls_slots.h). A thread terminates its
+// transactions in commit order, so a slot's queue is sorted by end
+// timestamp and a drain pops ready items off the front and stops at the
+// first one that is not ready. At each transaction boundary a worker drains
+// a small budget of its own queue, against a watermark cached in the
+// transaction table; it reads the commit clock only when that cache is due
+// for a refresh. The background thread (RunOnce) sweeps every slot plus an
+// orphan list that holds the queues of exited threads and the versions of
+// threads that found no slot.
+//
+// A drain pops a bounded batch into a fixed array under the slot latch and
+// unlinks outside it, so a sweep never stalls the owner's next Enqueue for
+// longer than a batch pop. The commit path touches only the caller's slot:
+// no shared cursor, counter or latch, and no allocation while the thread's
+// backlog stays within the blocks its queue already holds.
 #pragma once
 
 #include <atomic>
-#include <deque>
+#include <cstdint>
 #include <thread>
 
 #include "common/counters.h"
 #include "common/mutex.h"
+#include "common/port.h"
 #include "common/spin_latch.h"
-#include "common/timing.h"
 #include "common/types.h"
 #include "obs/histogram.h"
+#include "storage/lock_word.h"
 #include "storage/table.h"
 #include "txn/txn_table.h"
 #include "util/epoch.h"
+#include "util/tls_slots.h"
 
 namespace mvstore {
 
 class GarbageCollector {
  public:
+  /// Upper bound on concurrently registered threads; slots are recycled on
+  /// thread exit, overflow goes to the orphan list.
+  static constexpr uint32_t kMaxThreads = 512;
+
   GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
-                   StatsCollector& stats, uint32_t interval_us)
-      : txn_table_(txn_table),
-        epoch_(epoch),
-        stats_(stats),
-        interval_us_(interval_us) {}
+                   StatsCollector& stats, uint32_t interval_us);
 
   ~GarbageCollector() { Stop(); }
+
+  GarbageCollector(const GarbageCollector&) = delete;
+  GarbageCollector& operator=(const GarbageCollector&) = delete;
 
   void Start();
   void Stop();
 
   /// Defer `version` until the watermark passes `retire_after` (the end
-  /// timestamp that superseded it).
+  /// timestamp that superseded it). Called by the thread that terminated
+  /// the transaction, in commit order.
   void Enqueue(Table* table, Version* version, Timestamp retire_after);
 
   /// `version` is garbage now (aborted creator). Still goes through
   /// unlink + epoch retirement.
   void EnqueueImmediate(Table* table, Version* version);
 
-  /// Worker-thread cooperation: reclaim up to `budget` ready versions.
-  /// Returns the number reclaimed.
+  /// Worker-thread cooperation: reclaim up to `budget` ready versions from
+  /// the calling thread's own queue. Returns the number reclaimed.
   uint32_t Cooperate(uint32_t budget);
 
-  /// Reclaim everything currently ready. For the background thread, tests
-  /// and shutdown. When RunOnce returns, every item that any concurrent
-  /// drain (another RunOnce or a worker's Cooperate) had already popped has
-  /// been unlinked too: Drain unlinks outside the shard latch, so without
-  /// the mutex + in-flight wait a caller could observe popped-but-
+  /// Reclaim everything currently ready in every slot and the orphan list.
+  /// For the background thread, tests and shutdown. When RunOnce returns,
+  /// every item that a concurrent Cooperate had already popped has been
+  /// unlinked too: drains unlink outside the slot latch, so without the
+  /// wait on each slot's in-flight flag a caller could observe popped-but-
   /// still-linked versions.
   uint64_t RunOnce();
 
-  /// Versions queued but not yet reclaimed (approximate).
-  uint64_t PendingCount() const {
-    return pending_.load(std::memory_order_relaxed);
-  }
+  /// Versions queued but not yet popped for reclamation.
+  uint64_t PendingCount() const;
+
+  /// High-water mark of per-thread queues ever claimed: bounded by the peak
+  /// number of concurrent threads, not the total.
+  uint32_t UsedSlots() const { return slots_.Used(); }
 
   /// Current GC watermark: versions that died before this timestamp are
   /// unreachable by every present and future reader.
@@ -77,9 +99,10 @@ class GarbageCollector {
   /// Watermark refreshed at most every ~200us, and monotone. Computing the
   /// exact value scans the whole transaction table; per-commit cooperative
   /// GC must not pay that. The table owns the cache so every consumer sees
-  /// one consistent, never-regressing value.
-  Timestamp CachedWatermark(Timestamp now) {
-    return txn_table_.CachedMinActiveBeginTs(now);
+  /// one consistent, never-regressing value. The commit clock is read only
+  /// when a refresh is due.
+  Timestamp CachedWatermark() {
+    return txn_table_.CachedMinActiveBeginTs([this] { return Now(); });
   }
 
   /// Set the clock used for the watermark fallback (no active txns).
@@ -99,14 +122,72 @@ class GarbageCollector {
     Timestamp retire_after;  // 0 = immediate
   };
 
-  static constexpr uint32_t kShards = 16;
+  /// Most items one drain pops per latch hold.
+  static constexpr uint32_t kBatch = 64;
 
-  struct alignas(kCacheLineSize) Shard {
-    SpinLatch latch;
-    std::deque<Item> queue GUARDED_BY(latch);
+  /// A FIFO of Items in fixed blocks of about 4 KiB. Growing never copies
+  /// and never makes a large allocation (one would move glibc's dynamic
+  /// mmap threshold and with it the process's memory footprint), and one
+  /// emptied block is kept as a spare, so a queue that hovers around a
+  /// block boundary allocates nothing.
+  class Queue {
+   public:
+    Queue() = default;
+    ~Queue();
+    Queue(const Queue&) = delete;
+    Queue& operator=(const Queue&) = delete;
+
+    uint64_t size() const { return size_; }
+    const Item& front() const { return head_->items[head_pos_]; }
+    void PushBack(const Item& item);
+    Item PopFront();
+
+   private:
+    static constexpr uint32_t kBlockItems = 170;
+    struct Block {
+      Item items[kBlockItems];
+      Block* next;
+    };
+
+    Block* head_ = nullptr;
+    Block* tail_ = nullptr;
+    Block* spare_ = nullptr;
+    uint32_t head_pos_ = 0;  // next item to pop in head_
+    uint32_t tail_pos_ = 0;  // next free item in tail_
+    uint64_t size_ = 0;
   };
 
-  uint32_t Drain(Shard& shard, Timestamp watermark, uint32_t budget);
+  /// One thread's queue. The owner pushes under the latch; drainers pop
+  /// under it. `oldest` mirrors the front item's retire_after (kInfinity
+  /// when empty) so the owner's Cooperate can skip the latch when nothing
+  /// is ready; a stale value only costs a latch round trip.
+  struct alignas(kCacheLineSize) Slot {
+    mutable SpinLatch latch;
+    Queue queue GUARDED_BY(latch);
+    std::atomic<Timestamp> oldest{kInfinity};
+    /// Set by the owner's Cooperate from its pop until its unlinks are done
+    /// (at most one per slot: Cooperate drains only the caller's slot).
+    std::atomic<bool> draining{false};
+  };
+
+  Timestamp Now() const {
+    return now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
+  }
+
+  /// Pops up to `max` items ready under `watermark` off the front of the
+  /// slot's commit-ordered queue into `batch`, stopping at the first item
+  /// that is not ready. Caller holds the slot latch.
+  static uint32_t PopReady(Slot& slot, Timestamp watermark, Item* batch,
+                           uint32_t max) REQUIRES(slot.latch);
+
+  /// Unlinks and epoch-retires `n` popped items.
+  void Reclaim(const Item* batch, uint32_t n);
+
+  uint64_t DrainSlot(Slot& slot, Timestamp watermark);
+  uint64_t DrainOrphans(Timestamp watermark);
+
+  /// Release hook: move an exiting thread's queue onto the orphan list.
+  void ReleaseSlot(Slot& slot);
 
   TxnTable& txn_table_;
   EpochManager& epoch_;
@@ -114,11 +195,11 @@ class GarbageCollector {
   const uint32_t interval_us_;
 
   Mutex run_once_mutex_;  // serializes full RunOnce passes
-  std::atomic<uint32_t> drains_in_flight_{0};
-  std::array<Shard, kShards> shards_;
-  std::atomic<uint32_t> enqueue_cursor_{0};
-  std::atomic<uint32_t> drain_cursor_{0};
-  std::atomic<uint64_t> pending_{0};
+
+  /// Queues of exited threads and items of slotless threads. Not in commit
+  /// order (many threads interleave), so RunOnce visits every item.
+  mutable SpinLatch orphans_latch_;
+  Queue orphans_ GUARDED_BY(orphans_latch_);
 
   Timestamp (*now_fn_)(void*) = nullptr;
   void* now_arg_ = nullptr;
@@ -126,6 +207,8 @@ class GarbageCollector {
 
   std::atomic<bool> running_{false};
   std::thread thread_;
+
+  TlsSlots<Slot> slots_;  // last: see util/tls_slots.h
 };
 
 }  // namespace mvstore

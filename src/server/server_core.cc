@@ -113,6 +113,10 @@ std::string ServerCore::MetricsText() {
   obs::AppendPromGauge(&out, "mvstore_server_sessions_active",
                        active_sessions());
   obs::AppendPromGauge(&out, "mvstore_read_only", db_.read_only() ? 1 : 0);
+  if (MVEngine* mv = db_.mv_engine()) {
+    obs::AppendPromGauge(&out, "mvstore_gc_pending_versions",
+                         static_cast<double>(mv->gc().PendingCount()));
+  }
   if (ReplicaGate* gate = replica()) {
     const Timestamp replayed = gate->replayed_ts();
     const Timestamp leader = gate->leader_ts();

@@ -97,21 +97,28 @@ class TxnTable {
   /// cooperative GC pass. The max-guard is sound because a transaction that
   /// begins after a refresh observed watermark W gets begin_ts >= the clock
   /// at that refresh >= W, so versions dead before W stay invisible to it.
-  /// `now` (the no-active-transactions fallback) must be monotone; callers
-  /// pass the commit clock.
-  Timestamp CachedMinActiveBeginTs(Timestamp now) {
+  /// `now()` (the no-active-transactions fallback) must be monotone; callers
+  /// pass the commit clock. It is called only when a refresh is due, so the
+  /// hot clock's cacheline is not read on every call.
+  template <typename NowFn>
+  Timestamp CachedMinActiveBeginTs(NowFn&& now) {
     uint64_t t = NowMicros();
     uint64_t last = watermark_refreshed_us_.load(std::memory_order_relaxed);
     if (t - last > kWatermarkRefreshUs &&
         watermark_refreshed_us_.compare_exchange_strong(
             last, t, std::memory_order_relaxed)) {
-      Timestamp exact = MinActiveBeginTs(now);
+      Timestamp exact = MinActiveBeginTs(now());
       Timestamp cached = cached_min_begin_.load(std::memory_order_relaxed);
       while (cached < exact &&
              !cached_min_begin_.compare_exchange_weak(
                  cached, exact, std::memory_order_release)) {
       }
     }
+    return cached_min_begin_.load(std::memory_order_acquire);
+  }
+
+  /// The cached watermark as last refreshed: no clock read, no refresh.
+  Timestamp LastMinActiveBeginTs() const {
     return cached_min_begin_.load(std::memory_order_acquire);
   }
 

@@ -1,6 +1,6 @@
 // Per-thread slots: the one place a thread gets private state from a shared
-// owner. Stat cells, histogram cells, epoch slots, slab magazines and pool
-// caches all come from here.
+// owner. Stat cells, histogram cells, epoch slots, slab magazines, pool
+// caches and version-GC queues all come from here.
 //
 // An owner holds a TlsSlots<Slot>: a fixed-capacity table of slots, each
 // allocated on first claim and kept until the table dies, plus a freelist

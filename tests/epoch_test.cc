@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "cc/mv_engine.h"
 #include "common/counters.h"
 #include "mem/object_pool.h"
 #include "mem/slab_allocator.h"
@@ -103,7 +104,7 @@ TEST(EpochTest, EpochAdvances) {
 // each of many sequential short-lived threads. A thread's exit must hand its
 // slot back -- the table stays a handful of slots, not one per thread -- and
 // whatever the slot held must survive: counts, histogram tallies, retired
-// objects, magazine slots and cached pool objects.
+// objects, magazine slots, cached pool objects and queued GC versions.
 constexpr uint32_t kChurn = 1000;
 
 struct StatsOwner {
@@ -179,11 +180,64 @@ struct PoolOwner {
   }
 };
 
+struct GcRow {
+  uint64_t key;
+  uint64_t value;
+};
+
+struct GcOwner {
+  static constexpr uint32_t kCapacity = GarbageCollector::kMaxThreads;
+  static MVEngineOptions Options() {
+    MVEngineOptions opts;
+    opts.log_mode = LogMode::kDisabled;
+    opts.gc_interval_us = 0;
+    opts.deadlock_interval_us = 0;
+    opts.cooperative_gc_budget = 0;  // every queue outlives its thread
+    return opts;
+  }
+  static uint64_t Key(const void* p) { return static_cast<const GcRow*>(p)->key; }
+
+  GcOwner() {
+    TableDef def;
+    def.name = "rows";
+    def.payload_size = sizeof(GcRow);
+    def.indexes.push_back(IndexDef{&Key, 16, true});
+    table = engine.CreateTable(def);
+    Transaction* t = engine.Begin(IsolationLevel::kReadCommitted, false);
+    GcRow row{1, 0};
+    EXPECT_TRUE(engine.Insert(t, table, &row).ok());
+    EXPECT_TRUE(engine.Commit(t).ok());
+  }
+  void Touch() {
+    Transaction* t = engine.Begin(IsolationLevel::kReadCommitted, false);
+    EXPECT_TRUE(engine.Update(t, table, 0, 1, [](void* p) {
+                  static_cast<GcRow*>(p)->value += 1;
+                }).ok());
+    EXPECT_TRUE(engine.Commit(t).ok());
+  }
+  uint32_t Used() { return engine.gc().UsedSlots(); }
+  void Check() {
+    // Each exited thread's one superseded version moved to the orphan list.
+    EXPECT_EQ(engine.gc().PendingCount(), kChurn);
+    EXPECT_EQ(engine.gc().RunOnce(), kChurn);
+    EXPECT_EQ(engine.gc().PendingCount(), 0u);
+    EXPECT_EQ(engine.stats().Get(Stat::kVersionsCollected), kChurn);
+    Transaction* t = engine.Begin(IsolationLevel::kReadCommitted, false);
+    GcRow row{};
+    EXPECT_TRUE(engine.Read(t, table, 0, 1, &row).ok());
+    EXPECT_TRUE(engine.Commit(t).ok());
+    EXPECT_EQ(row.value, kChurn);
+  }
+
+  MVEngine engine{Options()};
+  TableId table = 0;
+};
+
 template <typename Owner>
 class SlotChurnTest : public ::testing::Test {};
 
 using SlotOwners = ::testing::Types<StatsOwner, HistogramOwner, EpochOwner,
-                                    SlabOwner, PoolOwner>;
+                                    SlabOwner, PoolOwner, GcOwner>;
 
 class SlotOwnerNames {
  public:
@@ -193,6 +247,7 @@ class SlotOwnerNames {
     if (std::is_same_v<Owner, HistogramOwner>) return "Histograms";
     if (std::is_same_v<Owner, EpochOwner>) return "Epoch";
     if (std::is_same_v<Owner, SlabOwner>) return "Slab";
+    if (std::is_same_v<Owner, GcOwner>) return "Gc";
     return "Pool";
   }
 };

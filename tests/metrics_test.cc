@@ -185,6 +185,46 @@ TEST(MetricsTest, HistogramsDisabledStillWellFormed) {
   EXPECT_EQ(samples["mvstore_commit_total_seconds_bucket{le=\"+Inf\"}"], 0.0);
 }
 
+TEST(MetricsTest, GcBacklogGauge) {
+  DatabaseOptions opts;
+  opts.scheme = Scheme::kMultiVersionOptimistic;
+  opts.gc_interval_us = 0;  // no background sweep: the backlog stays put
+  Database db(opts);
+  TableId table = MakeRowTable(db);
+  ServerCore core(db);
+  Row row{1, 0};
+  ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* t) {
+                  return db.Insert(t, table, &row);
+                }).ok());
+  // An open snapshot pins the watermark below every later end timestamp,
+  // so the superseded versions stay queued.
+  Txn* pin = db.Begin(IsolationLevel::kSnapshot);
+  constexpr uint64_t kUpdates = 5;
+  for (uint64_t i = 0; i < kUpdates; ++i) {
+    ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* t) {
+                    return db.Update(t, table, 0, 1, [i](void* p) {
+                      static_cast<Row*>(p)->value = i;
+                    });
+                  }).ok());
+  }
+  std::map<std::string, double> samples = ParseExposition(core.MetricsText());
+  EXPECT_EQ(samples["mvstore_gc_pending_versions"],
+            static_cast<double>(kUpdates));
+  ASSERT_TRUE(db.Commit(pin).ok());
+  db.mv_engine()->gc().RunOnce();
+  samples = ParseExposition(core.MetricsText());
+  EXPECT_EQ(samples["mvstore_gc_pending_versions"], 0.0);
+
+  // The single-version engine has no version GC and no gauge.
+  DatabaseOptions sv_opts;
+  sv_opts.scheme = Scheme::kSingleVersion;
+  Database sv_db(sv_opts);
+  ServerCore sv_core(sv_db);
+  EXPECT_EQ(ParseExposition(sv_core.MetricsText())
+                .count("mvstore_gc_pending_versions"),
+            0u);
+}
+
 /// Gate stub: a follower that replayed through ts 40 of a leader at ts 100.
 class FakeGate : public ReplicaGate {
  public:

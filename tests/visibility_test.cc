@@ -166,6 +166,7 @@ TEST_F(VisibilityTest, Table1PreparingReadCommittedWaitsForCreator) {
   EXPECT_TRUE(r.visible);
   EXPECT_EQ(self->commit_dep_counter.load(), 0u);
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeReads), 0u);
+  EXPECT_EQ(stats_.Get(Stat::kRcPreparingWaits), 1u);
 }
 
 TEST_F(VisibilityTest, Table1PreparingTooNewInvisibleNoDep) {
@@ -274,6 +275,7 @@ TEST_F(VisibilityTest, Table2PreparingReadCommittedWaitsForWriter) {
   EXPECT_FALSE(r.visible);
   EXPECT_EQ(self->commit_dep_counter.load(), 0u);
   EXPECT_EQ(stats_.Get(Stat::kSpeculativeIgnores), 0u);
+  EXPECT_EQ(stats_.Get(Stat::kRcPreparingWaits), 1u);
 }
 
 TEST_F(VisibilityTest, Table2CommittedWriterEndTs) {
