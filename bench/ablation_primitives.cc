@@ -95,8 +95,8 @@ BENCHMARK_REGISTER_F(IndexFixture, Probe)->ThreadRange(1, 8);
 BENCHMARK_DEFINE_F(IndexFixture, VisibilityCheck)(benchmark::State& state) {
   TxnTable txn_table;
   StatsCollector stats;
-  Transaction self(1, IsolationLevel::kReadCommitted, false, false);
-  txn_table.Insert(&self);
+  Transaction self(IsolationLevel::kReadCommitted, false, false);
+  txn_table.Publish(&self);
   VisibilityContext ctx;
   ctx.self = &self;
   ctx.txn_table = &txn_table;
@@ -112,7 +112,7 @@ BENCHMARK_DEFINE_F(IndexFixture, VisibilityCheck)(benchmark::State& state) {
       return false;
     });
   }
-  txn_table.Remove(1);
+  txn_table.Unpublish(&self);
 }
 BENCHMARK_REGISTER_F(IndexFixture, VisibilityCheck);
 

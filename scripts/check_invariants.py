@@ -95,10 +95,6 @@ THREAD_LOCAL_ALLOWLIST = {
     "cleared before every use and owned by nothing else",
     ("src/cc/mv_engine.cc", "buffer"): "WriteLog encode buffer: scratch, "
     "cleared before every use and owned by nothing else",
-    ("src/txn/timestamp.h", "cached_instance"): "TxnIdGenerator block: POD; "
-    "an abandoned remainder only skips ids",
-    ("src/txn/timestamp.h", "next_raw"): "TxnIdGenerator block: POD",
-    ("src/txn/timestamp.h", "remaining"): "TxnIdGenerator block: POD",
 }
 
 FAILPOINT_RE = re.compile(r'MVSTORE_FAILPOINT\("([^"]+)"\)')

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mvstore {
@@ -112,17 +113,16 @@ uint32_t DeadlockDetector::RunOnce() {
   // Step 1: nodes = blocked transactions (Section 4.4 step 1). The scratch
   // vectors keep their capacity across passes, so the common every-few-
   // hundred-microseconds scan allocates nothing.
-  txn_table_.SnapshotInto(snapshot_scratch_);
   std::vector<Transaction*>& nodes = nodes_scratch_;
   nodes.clear();
   std::unordered_map<TxnId, uint32_t>& node_of = node_of_scratch_;
   node_of.clear();
-  for (Transaction* t : snapshot_scratch_) {
+  txn_table_.ForEach([&](Transaction* t) {
     if (t->blocked.load(std::memory_order_acquire)) {
       node_of.emplace(t->id, static_cast<uint32_t>(nodes.size()));
       nodes.push_back(t);
     }
-  }
+  });
   if (nodes.size() < 2) return 0;
 
   std::vector<std::vector<uint32_t>>& adjacency = adjacency_scratch_;
@@ -182,11 +182,14 @@ uint32_t DeadlockDetector::RunOnce() {
       }
     }
     if (!all_blocked) continue;
-    // Abort the youngest member (largest transaction ID): older transactions
-    // have done more work.
+    // Abort the youngest member (largest begin timestamp, then larger ID;
+    // IDs name table slots, not ages): older transactions did more work.
+    auto age = [](const Transaction* t) {
+      return std::pair(t->begin_ts.load(std::memory_order_acquire), t->id);
+    };
     Transaction* victim = nodes[component[0]];
     for (uint32_t idx : component) {
-      if (nodes[idx]->id > victim->id) victim = nodes[idx];
+      if (age(nodes[idx]) > age(victim)) victim = nodes[idx];
     }
     victim->kill_reason.store(AbortReason::kDeadlock, std::memory_order_relaxed);
     victim->abort_now.store(true, std::memory_order_release);

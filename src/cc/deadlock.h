@@ -7,7 +7,8 @@
 //     T2, so T2 waits for T1's release.
 // Cycles are found with Tarjan's strongly-connected-components algorithm;
 // candidate deadlocks are re-verified (the graph is built while processing
-// continues, so it can be imprecise) and the youngest member aborts.
+// continues, so it can be imprecise) and the youngest member (largest begin
+// timestamp) aborts.
 #pragma once
 
 #include <atomic>
@@ -50,7 +51,6 @@ class DeadlockDetector {
   /// background thread) and guards the scratch vectors below, which are
   /// reused so the periodic scan is allocation-free in steady state.
   Mutex pass_mutex_;
-  std::vector<Transaction*> snapshot_scratch_ GUARDED_BY(pass_mutex_);
   std::vector<Transaction*> nodes_scratch_ GUARDED_BY(pass_mutex_);
   std::vector<TxnId> waiting_scratch_ GUARDED_BY(pass_mutex_);
   std::vector<Version*> locked_scratch_ GUARDED_BY(pass_mutex_);

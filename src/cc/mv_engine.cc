@@ -43,7 +43,7 @@ MVEngine::MVEngine(MVEngineOptions options)
     : options_(options),
       hists_(options_.enable_latency_histograms),
       slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
-      txn_pool_(options_.use_slab_allocator, &stats_) {
+      txn_pool_(/*enabled=*/true, &stats_) {
   catalog_.ConfigureMemory(
       Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
   LogSink* sink = nullptr;
@@ -83,10 +83,10 @@ MVEngine::~MVEngine() {
   gc_->Stop();
   // Abandoned transactions (tests that Begin and never finish): abort-free
   // teardown -- just release the objects.
-  for (Transaction* t : txn_table_.Snapshot()) {
-    txn_table_.Remove(t->id);
+  txn_table_.ForEach([this](Transaction* t) {
+    txn_table_.Unpublish(t);
     txn_pool_.Release(t);
-  }
+  });
   // Drain the GC queue completely: with no live transactions, the watermark
   // passes everything.
   gc_->RunOnce();
@@ -116,8 +116,7 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
                     isolation == IsolationLevel::kRepeatableRead)) {
     isolation = IsolationLevel::kSnapshot;
   }
-  Transaction* txn =
-      txn_pool_.Acquire(id_gen_.Next(), isolation, pessimistic, read_only);
+  Transaction* txn = txn_pool_.Acquire(isolation, pessimistic, read_only);
   // Sampled commit-pipeline tracing: the decision rides start_ticks so a
   // sampled transaction gets a coherent whole-pipeline trace. slow_txn_us
   // forces every commit to be timed (see obs::SampleThisTxn).
@@ -127,7 +126,7 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
   // Publish with begin_ts == 0 first: the GC watermark treats an unknown
   // begin timestamp as "could be anything", so no version this transaction
   // might see can be reclaimed in the window before the timestamp is set.
-  txn_table_.Insert(txn);
+  txn_table_.Publish(txn);
   // A begin timestamp is a read of the clock, not a draw from it (Section 6:
   // drawing is the one critical section every transaction shares, so only
   // commits pay for it). Current() is at or above every finished commit and
@@ -193,7 +192,7 @@ Status MVEngine::AcquireReadLock(Transaction* txn, Version* v, bool* locked) {
       // First read lock on a write-locked version: the writer must wait for
       // us (Section 4.2.1), unless it already aborted.
       Transaction* tu = txn_table_.Find(writer);
-      if (tu == nullptr || tu->id != writer) {
+      if (tu == nullptr) {
         CpuRelax();
         continue;  // writer terminated; End word is being finalized
       }
@@ -255,7 +254,7 @@ void MVEngine::ReleaseReadLock(Transaction* /*txn*/, Version* v) {
       if (v->end.compare_exchange_weak(end_word, desired,
                                        std::memory_order_acq_rel)) {
         Transaction* tu = txn_table_.Find(writer);
-        if (tu != nullptr && tu->id == writer) {
+        if (tu != nullptr) {
           tu->wait_for_counter.fetch_sub(1, std::memory_order_seq_cst);
           tu->NotifyEvent();
         }
@@ -335,7 +334,7 @@ Status MVEngine::InstallWriteLock(Transaction* txn, Version* v) {
 
     // Write-locked by someone else: updatable only if they aborted.
     Transaction* te = txn_table_.Find(writer);
-    if (te == nullptr || te->id != writer) {
+    if (te == nullptr) {
       CpuRelax();
       continue;  // terminated; the word is being finalized -- reread
     }
@@ -383,7 +382,7 @@ Status MVEngine::ImposePhantomDependency(Transaction* txn, Version* v) {
     if (tb_id == txn->id) return Status::OK();
 
     Transaction* tb = txn_table_.Find(tb_id);
-    if (tb == nullptr || tb->id != tb_id) {
+    if (tb == nullptr) {
       CpuRelax();
       continue;  // finalized; reread
     }
@@ -436,7 +435,7 @@ Status MVEngine::TakeBucketLockDependencies(Transaction* txn,
     if (holder_id == txn->id) continue;
     EpochGuard guard(epoch_);
     Transaction* holder = txn_table_.Find(holder_id);
-    if (holder == nullptr || holder->id != holder_id) continue;  // completed
+    if (holder == nullptr) continue;  // completed
     bool added = false;
     {
       SpinLatchGuard latch(holder->waiting_latch);
@@ -675,7 +674,7 @@ bool IsInFlightInsert(TxnTable& txn_table, Version* v, TxnId self) {
   TxnId creator = beginword::TxnIdOf(begin_word);
   if (creator == self) return false;
   Transaction* tb = txn_table.Find(creator);
-  if (tb == nullptr || tb->id != creator) return false;
+  if (tb == nullptr) return false;
   TxnState s = tb->state.load(std::memory_order_acquire);
   if (s != TxnState::kActive && s != TxnState::kPreparing) return false;
   // Must still be a latest-form version (not already superseded).
@@ -850,7 +849,7 @@ void MVEngine::DrainWaitingList(Transaction* txn) {
   EpochGuard guard(epoch_);
   for (TxnId id : waiters) {
     Transaction* t = txn_table_.Find(id);
-    if (t != nullptr && t->id == id) {
+    if (t != nullptr) {
       t->wait_for_counter.fetch_sub(1, std::memory_order_seq_cst);
       t->NotifyEvent();
     }
@@ -1053,7 +1052,7 @@ void MVEngine::Terminate(Transaction* txn, bool committed) {
     }
   }
   txn->state.store(TxnState::kTerminated, std::memory_order_release);
-  txn_table_.Remove(txn->id);
+  txn_table_.Unpublish(txn);
   // Back to the pool once no visibility check can still dereference it.
   epoch_.Retire(
       txn,

@@ -61,10 +61,10 @@ struct MVEngineOptions {
   /// Deadlock-detector pass interval; 0 disables the thread.
   uint32_t deadlock_interval_us = 1000;
 
-  /// Recycle version slots through per-table slabs and transaction objects
-  /// through a pool (mem/). Off = every version/transaction is a global
-  /// heap allocation -- slower, but gives ASan-style tooling full lifetime
-  /// visibility.
+  /// Recycle version slots through per-table slabs (mem/). Off = every
+  /// version is a global heap allocation -- slower, but gives ASan-style
+  /// tooling full lifetime visibility. Transaction objects are always
+  /// pooled: the transaction table needs them for the engine's life.
   bool use_slab_allocator = true;
 
   /// Record commit-pipeline phase latencies into obs/ histograms
@@ -242,7 +242,7 @@ class MVEngine {
   /// Common abort path; resolves dependents, postprocesses, terminates.
   Status DoAbort(Transaction* txn, AbortReason reason);
 
-  /// Remove from the txn table, hand versions to GC, retire the object.
+  /// Unpublish from the txn table, hand versions to GC, retire the object.
   void Terminate(Transaction* txn, bool committed);
 
   void ReleaseHeldLocks(Transaction* txn);
@@ -257,11 +257,11 @@ class MVEngine {
   /// Precomputed SlowTxnThresholdTicks(options_.slow_txn_us); 0 = disabled.
   uint64_t slow_txn_ticks_ = 0;
   Catalog catalog_;
+  /// Always enabled: owns what txn_table_ points at for the engine's life.
   ObjectPool<Transaction> txn_pool_;
   EpochManager epoch_;
   TxnTable txn_table_;
   TimestampGenerator ts_gen_;
-  TxnIdGenerator id_gen_;
   BucketLockTable bucket_locks_;
   std::unique_ptr<Logger> logger_;
   std::unique_ptr<GarbageCollector> gc_;

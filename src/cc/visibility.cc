@@ -73,7 +73,7 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
     }
 
     Transaction* tb = table->Find(tb_id);
-    if (tb == nullptr || tb->id != tb_id) {
+    if (tb == nullptr) {
       // Terminated or not found: TB finalized the Begin field; reread.
       CpuRelax();
       continue;
@@ -166,7 +166,7 @@ VisibilityResult CheckVisibility(const VisibilityContext& ctx, Version* v,
     }
 
     Transaction* te = table->Find(te_id);
-    if (te == nullptr || te->id != te_id) {
+    if (te == nullptr) {
       CpuRelax();
       continue;  // TE terminated: end word finalized or writer cleared
     }
@@ -245,7 +245,7 @@ Updatability CheckUpdatability(const VisibilityContext& ctx, Version* v) {
     if (te_id == ctx.self->id) return Updatability::kWriteConflict;
 
     Transaction* te = ctx.txn_table->Find(te_id);
-    if (te == nullptr || te->id != te_id) {
+    if (te == nullptr) {
       CpuRelax();
       continue;  // finalized; reread
     }

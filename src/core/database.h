@@ -83,12 +83,12 @@ struct DatabaseOptions {
   uint64_t lock_timeout_us = 2000;
 
   /// Memory subsystem (src/mem/): recycle version slots through per-table
-  /// slab allocators and transaction objects through pools, integrated with
-  /// epoch reclamation. Default on; turn off to route every allocation
-  /// through the global heap (ASan-style debugging, leak triage). Sanitizer
-  /// builds (TSan/ASan) default off (common/port.h) -- recycling hides
-  /// object lifetimes from the tools; tests that target the slabs opt back
-  /// in.
+  /// slab allocators, and 1V transactions and Txn handles through pools,
+  /// integrated with epoch reclamation (MV transaction objects are always
+  /// pooled). Default on; turn off to route these through the global heap
+  /// (ASan-style debugging, leak triage). Sanitizer builds (TSan/ASan)
+  /// default off (common/port.h) -- recycling hides object lifetimes from
+  /// the tools; tests that target the slabs opt back in.
   bool use_slab_allocator = !kSanitizerBuild;
 
   /// Observability (src/obs/, docs/OBSERVABILITY.md). On: commit-pipeline

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 namespace mvstore {
 
@@ -31,45 +30,6 @@ void GarbageCollector::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-GarbageCollector::Queue::~Queue() {
-  while (head_ != nullptr) delete std::exchange(head_, head_->next);
-  delete spare_;
-}
-
-void GarbageCollector::Queue::PushBack(const Item& item) {
-  if (tail_ == nullptr || tail_pos_ == kBlockItems) {
-    Block* block = spare_ != nullptr ? std::exchange(spare_, nullptr)
-                                     : new Block;
-    block->next = nullptr;
-    if (tail_ == nullptr) {
-      head_ = block;
-    } else {
-      tail_->next = block;
-    }
-    tail_ = block;
-    tail_pos_ = 0;
-  }
-  tail_->items[tail_pos_++] = item;
-  ++size_;
-}
-
-GarbageCollector::Item GarbageCollector::Queue::PopFront() {
-  const Item item = head_->items[head_pos_++];
-  if (--size_ == 0) {
-    // Empty: head_ == tail_; rewind within the block in hand.
-    head_pos_ = tail_pos_ = 0;
-  } else if (head_pos_ == kBlockItems) {
-    Block* done = std::exchange(head_, head_->next);
-    head_pos_ = 0;
-    if (spare_ == nullptr) {
-      spare_ = done;
-    } else {
-      delete done;
-    }
-  }
-  return item;
-}
-
 void GarbageCollector::Enqueue(Table* table, Version* version,
                                Timestamp retire_after) {
   const Item item{table, version, retire_after};
@@ -79,6 +39,7 @@ void GarbageCollector::Enqueue(Table* table, Version* version,
       slot->oldest.store(retire_after, std::memory_order_relaxed);
     }
     slot->queue.PushBack(item);
+    slot->newest = std::max(slot->newest, retire_after);
     return;
   }
   SpinLatchGuard guard(orphans_latch_);
@@ -99,7 +60,7 @@ void GarbageCollector::ReleaseSlot(Slot& slot) {
 
 uint32_t GarbageCollector::PopReady(Slot& slot, Timestamp watermark,
                                     Item* batch, uint32_t max) {
-  Queue& queue = slot.queue;
+  BlockQueue<Item>& queue = slot.queue;
   uint32_t n = 0;
   while (n < max && queue.size() != 0 &&
          queue.front().retire_after < watermark) {
@@ -132,7 +93,7 @@ uint32_t GarbageCollector::Cooperate(uint32_t budget) {
   // refresh check. Refresh only if the oldest item is not yet ready.
   Timestamp watermark = txn_table_.LastMinActiveBeginTs();
   if (front >= watermark) {
-    watermark = CachedWatermark();
+    watermark = CachedWatermark(slot->newest);
     if (front >= watermark) return 0;
   }
   uint32_t total = 0;

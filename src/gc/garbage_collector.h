@@ -42,6 +42,7 @@
 #include "storage/lock_word.h"
 #include "storage/table.h"
 #include "txn/txn_table.h"
+#include "util/block_queue.h"
 #include "util/epoch.h"
 #include "util/tls_slots.h"
 
@@ -96,13 +97,12 @@ class GarbageCollector {
   /// unreachable by every present and future reader.
   Timestamp Watermark(Timestamp now) { return txn_table_.MinActiveBeginTs(now); }
 
-  /// Watermark refreshed at most every ~200us, and monotone. Computing the
-  /// exact value scans the whole transaction table; per-commit cooperative
-  /// GC must not pay that. The table owns the cache so every consumer sees
-  /// one consistent, never-regressing value. The commit clock is read only
-  /// when a refresh is due.
-  Timestamp CachedWatermark() {
-    return txn_table_.CachedMinActiveBeginTs([this] { return Now(); });
+  /// Watermark cached by the table (TxnTable::CachedMinActiveBeginTs), so
+  /// per-commit cooperative GC never pays for the exact table scan and
+  /// every consumer sees one never-regressing value.
+  Timestamp CachedWatermark(Timestamp seen_ts) {
+    return txn_table_.CachedMinActiveBeginTs([this] { return Now(); },
+                                             seen_ts);
   }
 
   /// Set the clock used for the watermark fallback (no active txns).
@@ -125,46 +125,17 @@ class GarbageCollector {
   /// Most items one drain pops per latch hold.
   static constexpr uint32_t kBatch = 64;
 
-  /// A FIFO of Items in fixed blocks of about 4 KiB. Growing never copies
-  /// and never makes a large allocation (one would move glibc's dynamic
-  /// mmap threshold and with it the process's memory footprint), and one
-  /// emptied block is kept as a spare, so a queue that hovers around a
-  /// block boundary allocates nothing.
-  class Queue {
-   public:
-    Queue() = default;
-    ~Queue();
-    Queue(const Queue&) = delete;
-    Queue& operator=(const Queue&) = delete;
-
-    uint64_t size() const { return size_; }
-    const Item& front() const { return head_->items[head_pos_]; }
-    void PushBack(const Item& item);
-    Item PopFront();
-
-   private:
-    static constexpr uint32_t kBlockItems = 170;
-    struct Block {
-      Item items[kBlockItems];
-      Block* next;
-    };
-
-    Block* head_ = nullptr;
-    Block* tail_ = nullptr;
-    Block* spare_ = nullptr;
-    uint32_t head_pos_ = 0;  // next item to pop in head_
-    uint32_t tail_pos_ = 0;  // next free item in tail_
-    uint64_t size_ = 0;
-  };
-
   /// One thread's queue. The owner pushes under the latch; drainers pop
   /// under it. `oldest` mirrors the front item's retire_after (kInfinity
   /// when empty) so the owner's Cooperate can skip the latch when nothing
   /// is ready; a stale value only costs a latch round trip.
   struct alignas(kCacheLineSize) Slot {
     mutable SpinLatch latch;
-    Queue queue GUARDED_BY(latch);
+    BlockQueue<Item> queue GUARDED_BY(latch);
     std::atomic<Timestamp> oldest{kInfinity};
+    /// Largest retire_after the owner queued (owner-only): Cooperate's
+    /// commit-count refresh trigger.
+    Timestamp newest = 0;
     /// Set by the owner's Cooperate from its pop until its unlinks are done
     /// (at most one per slot: Cooperate drains only the caller's slot).
     std::atomic<bool> draining{false};
@@ -199,7 +170,7 @@ class GarbageCollector {
   /// Queues of exited threads and items of slotless threads. Not in commit
   /// order (many threads interleave), so RunOnce visits every item.
   mutable SpinLatch orphans_latch_;
-  Queue orphans_ GUARDED_BY(orphans_latch_);
+  BlockQueue<Item> orphans_ GUARDED_BY(orphans_latch_);
 
   Timestamp (*now_fn_)(void*) = nullptr;
   void* now_arg_ = nullptr;

@@ -1,10 +1,6 @@
-// Object pool for transaction objects.
-//
-// MVEngine::Begin used to pay `new Transaction` (and the matching epoch-
-// deferred `delete`) per transaction -- a global-allocator round trip plus
-// the reallocation of every read/write/scan-set vector from scratch. The
-// pool recycles *constructed* objects instead: a released transaction keeps
-// its vectors' capacity, so a recycled Begin is a handful of stores.
+// Object pool for transaction objects. It recycles *constructed* objects:
+// a released transaction keeps its vectors' capacity, so a recycled Begin
+// is a handful of stores instead of a heap round trip plus fresh sets.
 //
 // Requirements on T: `T(Args...)` constructs a fresh object and
 // `void Reset(Args...)` restores every field of a recycled one to its
@@ -17,7 +13,8 @@
 // thread exits; a thread with no cache (all taken, or the thread is exiting)
 // uses the freelist directly. With `enabled = false` the pool degrades to
 // plain new/delete, the heap-debug configuration (ASan sees every
-// transaction boundary again).
+// transaction boundary again); MVEngine always enables its pool, because
+// its transaction table needs every object to live as long as the pool.
 //
 // Safety: Release() makes the object immediately reusable by any thread.
 // For epoch-protected objects (MV transactions are dereferenced by

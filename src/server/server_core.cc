@@ -116,6 +116,12 @@ std::string ServerCore::MetricsText() {
   if (MVEngine* mv = db_.mv_engine()) {
     obs::AppendPromGauge(&out, "mvstore_gc_pending_versions",
                          static_cast<double>(mv->gc().PendingCount()));
+    obs::AppendPromGauge(&out, "mvstore_live_transactions",
+                         static_cast<double>(mv->txn_table().Size()));
+    const Timestamp now = mv->ts_gen().Current();
+    obs::AppendPromGauge(
+        &out, "mvstore_snapshot_age_timestamps",
+        static_cast<double>(now - mv->txn_table().MinActiveBeginTs(now)));
   }
   if (ReplicaGate* gate = replica()) {
     const Timestamp replayed = gate->replayed_ts();

@@ -67,7 +67,7 @@ inline void ResolveCommitDependencies(Transaction* provider, bool committed,
     // "If a dependent transaction is not found, this means that it has
     // already aborted" -- nothing to do.
     Transaction* dep = txn_table.Find(dep_id);
-    if (dep == nullptr || dep->id != dep_id) continue;
+    if (dep == nullptr) continue;
     if (committed) {
       dep->commit_dep_counter.fetch_sub(1, std::memory_order_acq_rel);
     } else {

@@ -12,8 +12,8 @@
 //  * the read/scan/write/bucket-lock sets (Sections 3, 4).
 //
 // Other transactions dereference this object during visibility checks, so it
-// is released (to the engine's transaction pool, or the heap in debug mode)
-// only through the epoch manager after removal from the transaction table.
+// goes back to the engine's transaction pool only through the epoch manager
+// after it is unpublished from the transaction table.
 #pragma once
 
 #include <atomic>
@@ -107,28 +107,23 @@ struct BucketLockEntry {
 
 class Transaction {
  public:
-  Transaction(TxnId id, IsolationLevel isolation, bool pessimistic,
-              bool read_only)
-      : id(id),
-        isolation(isolation),
-        pessimistic(pessimistic),
-        read_only(read_only) {}
+  /// ID 0 until TxnTable::Publish gives it one.
+  Transaction(IsolationLevel isolation, bool pessimistic, bool read_only)
+      : isolation(isolation), pessimistic(pessimistic), read_only(read_only) {}
 
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
   /// Re-arm a recycled transaction object (mem/object_pool.h) as if freshly
-  /// constructed. Set vectors keep their capacity -- that is the point of
-  /// pooling. Reuse happens only after epoch reclamation, so no concurrent
-  /// reader can hold this pointer: relaxed stores suffice (publication to
-  /// other threads goes through the txn table's latch).
+  /// constructed, except `id`, which TxnTable::Publish steps. Set vectors
+  /// keep their capacity -- the point of pooling. Relaxed stores suffice:
+  /// Publish's seq_cst store publishes them.
   /// NO_THREAD_SAFETY_ANALYSIS: clears latch-guarded sets without their
-  /// latches. Safe by protocol — Reset runs on pool recycle, before the
-  /// transaction is published in the TxnTable, so no other thread can hold
-  /// a pointer to it (the previous incarnation was epoch-retired first).
-  void Reset(TxnId new_id, IsolationLevel new_isolation, bool new_pessimistic,
+  /// latches. Safe by protocol — Reset runs after the previous incarnation
+  /// was epoch-retired and before Publish, so no other thread uses the
+  /// object (a Find that meets it reads only published_id).
+  void Reset(IsolationLevel new_isolation, bool new_pessimistic,
              bool new_read_only) NO_THREAD_SAFETY_ANALYSIS {
-    id = new_id;
     isolation = new_isolation;
     pessimistic = new_pessimistic;
     read_only = new_read_only;
@@ -158,6 +153,8 @@ class Transaction {
   /// --- identity / phase ----------------------------------------------------
 
   TxnId id = 0;
+  /// `id` while TxnTable finds this object, 0 otherwise (TxnTable only).
+  std::atomic<TxnId> published_id{0};
   IsolationLevel isolation = IsolationLevel::kReadCommitted;
   /// True for MV/L transactions; false for MV/O. Mixed workloads are allowed
   /// (Section 4.5).

@@ -1,86 +1,110 @@
-// Transaction table: live transactions by ID.
+// Transaction table: live transactions by ID. Visibility checks resolve the
+// transaction IDs in version Begin/End words (Sections 2.5-2.6); "not found"
+// means the transaction terminated and finalized its timestamps, and
+// callers reread the version word.
 //
-// Visibility checks look up transaction IDs found in version Begin/End words
-// (Sections 2.5-2.6: "checking another transaction's state and end
-// timestamp"); "not found" means the transaction terminated and finalized
-// its timestamps, which callers handle by re-reading the version word.
-//
-// Lookups return raw pointers; callers must hold an EpochGuard, because a
-// terminated transaction's object is epoch-retired after removal.
+// The ID is the lookup: TxnId = (incarnation << kSlotBits) | slot. `slot`
+// indexes a directory with one entry per transaction object ever
+// registered; `incarnation` counts that object's publications there. Find
+// loads the entry and compares the object's published_id: no latch, no
+// hash, no allocation. Objects must outlive the table (MVEngine's pool
+// keeps them) and are epoch-retired before reuse, so a pointer Find returns
+// stays that transaction for the caller's EpochGuard.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <cstdlib>
 
-#include "common/port.h"
-#include "common/spin_latch.h"
+#include "common/mutex.h"
 #include "common/timing.h"
-#include "txn/timestamp.h"
+#include "storage/lock_word.h"
 #include "txn/transaction.h"
-#include "util/bits.h"
 
 namespace mvstore {
 
 class TxnTable {
  public:
-  static constexpr uint32_t kPartitions = 64;
+  static constexpr uint32_t kSlotBits = 20;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr TxnId kIncarnationStep = TxnId{1} << kSlotBits;
+  /// Incarnations run 1..kMaxIncarnation: no ID is 0, kNoWriter or above
+  /// kMaxTxnId.
+  static constexpr uint64_t kMaxIncarnation =
+      (lockword::kWriteLockMask >> kSlotBits) - 1;
 
-  void Insert(Transaction* txn) {
-    Partition& p = PartitionFor(txn->id);
-    SpinLatchGuard guard(p.latch);
-    p.map.emplace(txn->id, txn);
+  TxnTable() = default;
+  ~TxnTable() {
+    for (auto& chunk : chunks_) delete[] chunk.load();
+  }
+  TxnTable(const TxnTable&) = delete;
+  TxnTable& operator=(const TxnTable&) = delete;
+
+  /// The ID step: the next incarnation of `prev`'s slot, or, for a new
+  /// object (`prev` 0) or an exhausted slot, the first of `fresh_slot()`.
+  /// Slots are never reused, so no ID repeats in the table's lifetime.
+  template <typename FreshSlot>
+  static TxnId NextId(TxnId prev, FreshSlot&& fresh_slot) {
+    if (prev != 0 && (prev >> kSlotBits) < kMaxIncarnation) {
+      return prev + kIncarnationStep;
+    }
+    return kIncarnationStep | fresh_slot();
   }
 
-  /// Remove after postprocessing. The caller epoch-retires the object.
-  void Remove(TxnId id) {
-    Partition& p = PartitionFor(id);
-    SpinLatchGuard guard(p.latch);
-    p.map.erase(id);
+  /// Give `txn` its next ID and make it findable, begin_ts still 0. The
+  /// seq_cst store orders its re-armed fields before every Find that
+  /// returns it, and orders it for MinActiveBeginTs.
+  void Publish(Transaction* txn) {
+    txn->id = NextId(txn->id, [&] { return Register(txn); });
+    txn->published_id.store(txn->id, std::memory_order_seq_cst);
+  }
+
+  /// Make `txn` unfindable; the caller then epoch-retires the object.
+  void Unpublish(Transaction* txn) {
+    txn->published_id.store(0, std::memory_order_seq_cst);
   }
 
   /// nullptr if terminated/not found. Caller must hold an EpochGuard.
-  Transaction* Find(TxnId id) {
-    Partition& p = PartitionFor(id);
-    SpinLatchGuard guard(p.latch);
-    auto it = p.map.find(id);
-    return it == p.map.end() ? nullptr : it->second;
+  Transaction* Find(TxnId id) const {
+    const uint64_t slot = id & kSlotMask;
+    const Entry* chunk =
+        chunks_[slot >> kChunkBits].load(std::memory_order_acquire);
+    if (chunk == nullptr) return nullptr;  // never-registered slot
+    Transaction* txn =
+        chunk[slot % kChunkSlots].load(std::memory_order_acquire);
+    if (txn == nullptr ||
+        txn->published_id.load(std::memory_order_acquire) != id) {
+      return nullptr;
+    }
+    return txn;
   }
 
-  /// Visit every live transaction, allocation-free. `fn` runs under the
-  /// partition latch: keep it tiny and never call back into this table.
-  /// Pointers are valid under the caller's EpochGuard.
+  /// Visit every published transaction, allocation-free and latch-free.
+  /// Pointers are valid under the caller's EpochGuard. Seq_cst loads: see
+  /// MinActiveBeginTs.
   template <typename Fn>
-  void ForEach(Fn&& fn) {
-    for (auto& p : partitions_) {
-      SpinLatchGuard guard(p.latch);
-      for (auto& [id, txn] : p.map) fn(txn);
+  void ForEach(Fn&& fn) const {
+    for (uint32_t c = 0; c < kMaxChunks; ++c) {
+      Entry* chunk = chunks_[c].load(std::memory_order_seq_cst);
+      if (chunk == nullptr) return;  // chunks are registered in order
+      for (uint32_t i = 0; i < kChunkSlots; ++i) {
+        Transaction* txn = chunk[i].load(std::memory_order_seq_cst);
+        if (txn == nullptr) continue;
+        const TxnId id = txn->published_id.load(std::memory_order_seq_cst);
+        // The slot check skips a moved object's old entry.
+        if (id != 0 && (id & kSlotMask) == (uint64_t{c} << kChunkBits | i)) {
+          fn(txn);
+        }
+      }
     }
   }
 
-  /// Snapshot all live transactions into `out` (cleared; capacity reused).
-  /// Periodic scanners (deadlock detector) hold a scratch vector so the pass
-  /// is allocation-free in steady state.
-  void SnapshotInto(std::vector<Transaction*>& out) {
-    out.clear();
-    ForEach([&](Transaction* txn) { out.push_back(txn); });
-  }
-
-  /// Snapshot of all live transactions (allocating convenience form).
-  std::vector<Transaction*> Snapshot() {
-    std::vector<Transaction*> out;
-    SnapshotInto(out);
-    return out;
-  }
-
-  /// Minimum begin timestamp over live transactions, or `fallback` if none.
-  /// Every version with end timestamp below this can never be seen again
-  /// (GC watermark, Section 2.3). A transaction published with begin_ts
-  /// still 0 (the Begin() window) pins the watermark at 0: nothing may be
-  /// reclaimed until its timestamp is known. Allocation-free: this runs on
-  /// every watermark refresh.
-  Timestamp MinActiveBeginTs(Timestamp fallback) {
+  /// Minimum begin timestamp over live transactions, or `fallback` if none:
+  /// the GC watermark (Section 2.3). An unset begin_ts (the Begin() window)
+  /// pins it at 0. A transaction the scan misses published after the scan's
+  /// seq_cst loads and then read its begin timestamp from the seq_cst
+  /// clock, so it is at or above a `fallback` read from the clock first.
+  Timestamp MinActiveBeginTs(Timestamp fallback) const {
     Timestamp min_ts = fallback;
     ForEach([&](Transaction* txn) {
       Timestamp b = txn->begin_ts.load(std::memory_order_acquire);
@@ -89,25 +113,26 @@ class TxnTable {
     return min_ts;
   }
 
-  /// Rate-limited, *monotone* watermark: refreshed from MinActiveBeginTs at
-  /// most every ~200us, and never allowed to regress. Regression would be
-  /// safe (it only delays reclamation) but real: a transaction caught inside
-  /// the Begin() window publishes begin_ts 0 and would yank a cached
-  /// watermark of millions back to zero for the next 200us, stalling every
-  /// cooperative GC pass. The max-guard is sound because a transaction that
-  /// begins after a refresh observed watermark W gets begin_ts >= the clock
-  /// at that refresh >= W, so versions dead before W stay invisible to it.
-  /// `now()` (the no-active-transactions fallback) must be monotone; callers
-  /// pass the commit clock. It is called only when a refresh is due, so the
-  /// hot clock's cacheline is not read on every call.
+  /// Rate-limited, monotone watermark: refreshed every ~200us, or once
+  /// `seen_ts` (the caller's newest commit timestamp) is
+  /// kWatermarkRefreshSpan past the last refresh, so a fast committer's GC
+  /// backlog is bounded in commits. Never regresses (a Begin() window's
+  /// begin_ts 0 would stall every cooperative pass); that is sound because
+  /// a later transaction's begin_ts is >= the clock at the refresh. `now()`
+  /// (the monotone commit clock) is read only when a refresh is due.
   template <typename NowFn>
-  Timestamp CachedMinActiveBeginTs(NowFn&& now) {
+  Timestamp CachedMinActiveBeginTs(NowFn&& now, Timestamp seen_ts = 0) {
     uint64_t t = NowMicros();
     uint64_t last = watermark_refreshed_us_.load(std::memory_order_relaxed);
-    if (t - last > kWatermarkRefreshUs &&
-        watermark_refreshed_us_.compare_exchange_strong(
-            last, t, std::memory_order_relaxed)) {
-      Timestamp exact = MinActiveBeginTs(now());
+    const bool due =
+        t - last > kWatermarkRefreshUs ||
+        seen_ts > watermark_refreshed_clock_.load(std::memory_order_relaxed) +
+                      kWatermarkRefreshSpan;
+    if (due && watermark_refreshed_us_.compare_exchange_strong(
+                   last, t, std::memory_order_relaxed)) {
+      const Timestamp clock = now();
+      watermark_refreshed_clock_.store(clock, std::memory_order_relaxed);
+      Timestamp exact = MinActiveBeginTs(clock);
       Timestamp cached = cached_min_begin_.load(std::memory_order_relaxed);
       while (cached < exact &&
              !cached_min_begin_.compare_exchange_weak(
@@ -122,36 +147,42 @@ class TxnTable {
     return cached_min_begin_.load(std::memory_order_acquire);
   }
 
+  /// Number of published transactions.
   uint64_t Size() const {
     uint64_t n = 0;
-    for (auto& p : partitions_) {
-      SpinLatchGuard guard(p.latch);
-      n += p.map.size();
-    }
+    ForEach([&](Transaction*) { ++n; });
     return n;
   }
 
  private:
   friend struct TsaNegativeProbe;  // scripts/tsa_fixtures/ (compile-only)
 
-  struct alignas(kCacheLineSize) Partition {
-    mutable SpinLatch latch;
-    std::unordered_map<TxnId, Transaction*> map GUARDED_BY(latch);
-  };
+  using Entry = std::atomic<Transaction*>;
+  static constexpr uint32_t kChunkBits = 10;
+  static constexpr uint32_t kChunkSlots = 1u << kChunkBits;
+  static constexpr uint32_t kMaxChunks = 1u << (kSlotBits - kChunkBits);
+  static constexpr uint64_t kWatermarkRefreshUs = 200;
+  static constexpr Timestamp kWatermarkRefreshSpan = 128;
 
-  /// Block-affine partitioning: transaction IDs are drawn in per-thread
-  /// blocks of TxnIdGenerator::kBlockSize, so mapping each block to one
-  /// partition keeps a thread's Insert/Remove traffic on a partition no
-  /// other thread is currently hammering. Lookups of *other* transactions'
-  /// IDs (visibility checks) still spread across partitions as blocks do.
-  Partition& PartitionFor(TxnId id) {
-    return partitions_[(id - 1) / TxnIdGenerator::kBlockSize % kPartitions];
+  /// Points the next never-used slot at `txn`; allocates chunks lazily.
+  uint32_t Register(Transaction* txn) {
+    MutexLock lock(register_mu_);
+    if (next_slot_ == kMaxChunks * kChunkSlots) std::abort();  // 2^20 objects
+    const uint32_t slot = next_slot_++;
+    if (slot % kChunkSlots == 0) {
+      chunks_[slot >> kChunkBits].store(new Entry[kChunkSlots]());
+    }
+    chunks_[slot >> kChunkBits].load()[slot % kChunkSlots].store(txn);
+    return slot;
   }
 
-  static constexpr uint64_t kWatermarkRefreshUs = 200;
+  /// The directory, in lazily allocated chunks of kChunkSlots entries.
+  std::atomic<Entry*> chunks_[kMaxChunks] = {};
+  Mutex register_mu_;
+  uint32_t next_slot_ GUARDED_BY(register_mu_) = 0;
 
-  mutable std::array<Partition, kPartitions> partitions_;
   std::atomic<uint64_t> watermark_refreshed_us_{0};
+  std::atomic<Timestamp> watermark_refreshed_clock_{0};
   std::atomic<Timestamp> cached_min_begin_{0};
 };
 

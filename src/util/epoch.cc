@@ -12,21 +12,19 @@ EpochManager::~EpochManager() { DrainAll(); }
 void EpochManager::ReleaseSlot(ThreadSlot& slot) {
   assert(slot.nesting.load(std::memory_order_relaxed) == 0 &&
          "thread exited inside an EpochGuard");
-  // Splice leftovers onto the orphan list so the slot starts empty for its
+  // Move leftovers onto the orphan list so the slot starts empty for its
   // next owner; their epochs still gate their reclamation.
-  std::deque<Retired> leftover;
   {
     SpinLatchGuard guard(slot.latch);
-    leftover.swap(slot.retired);
-  }
-  if (!leftover.empty()) {
-    uint64_t moved = leftover.size();
-    {
-      SpinLatchGuard guard(orphans_latch_);
-      for (const Retired& r : leftover) orphans_.push_back(r);
+    const uint64_t moved = slot.retired.size();
+    if (moved != 0) {
+      SpinLatchGuard orphans_guard(orphans_latch_);
+      while (slot.retired.size() != 0) {
+        orphans_.PushBack(slot.retired.PopFront());
+      }
+      orphan_pending_.fetch_add(moved, std::memory_order_relaxed);
+      slot.pending.fetch_sub(moved, std::memory_order_relaxed);
     }
-    orphan_pending_.fetch_add(moved, std::memory_order_relaxed);
-    slot.pending.fetch_sub(moved, std::memory_order_relaxed);
   }
   slot.retire_ticker = 0;
   slot.nesting.store(0, std::memory_order_relaxed);
@@ -93,7 +91,7 @@ void EpochManager::Retire(void* object, Deleter deleter, void* arg) {
   if (slot != nullptr) {
     {
       SpinLatchGuard guard(slot->latch);
-      slot->retired.push_back(Retired{object, deleter, arg, tag});
+      slot->retired.PushBack(Retired{object, deleter, arg, tag});
     }
     slot->pending.fetch_add(1, std::memory_order_release);
     if (++slot->retire_ticker % kAdvanceInterval == 0) {
@@ -103,7 +101,7 @@ void EpochManager::Retire(void* object, Deleter deleter, void* arg) {
   }
   {
     SpinLatchGuard guard(orphans_latch_);
-    orphans_.push_back(Retired{object, deleter, arg, tag});
+    orphans_.PushBack(Retired{object, deleter, arg, tag});
   }
   orphan_pending_.fetch_add(1, std::memory_order_release);
   TryAdvanceAndReclaim();
@@ -120,78 +118,72 @@ void EpochManager::TryAdvanceAndReclaim() {
                                             std::memory_order_seq_cst)) {
     min_active = MinActiveEpoch(epoch + 1);
   }
-  ReclaimUpTo(min_active);
-}
-
-void EpochManager::ReclaimUpTo(uint64_t min_active) {
   // One reclaimer at a time; others piggyback on its work and return.
   if (!reclaim_gate_.TryLock()) return;
-  std::vector<Retired> to_free;
-  slots_.ForEach([&](ThreadSlot& slot) {
-    if (slot.pending.load(std::memory_order_acquire) == 0) return;
-    uint64_t freed = 0;
-    {
-      SpinLatchGuard guard(slot.latch);
-      // Epoch tags are nondecreasing per queue: pop eligible entries off
-      // the front, O(freed), and never touch the backlog.
-      while (!slot.retired.empty() &&
-             slot.retired.front().epoch < min_active) {
-        to_free.push_back(slot.retired.front());
-        slot.retired.pop_front();
-        ++freed;
-      }
-    }
-    if (freed != 0) slot.pending.fetch_sub(freed, std::memory_order_relaxed);
-  });
-  if (orphan_pending_.load(std::memory_order_acquire) != 0) {
-    // Orphan entries interleave from many dead threads, so tags are not
-    // ordered; compact the (cold, small) queue exactly.
-    uint64_t freed = 0;
-    {
-      SpinLatchGuard guard(orphans_latch_);
-      size_t kept = 0;
-      for (size_t i = 0; i < orphans_.size(); ++i) {
-        if (orphans_[i].epoch < min_active) {
-          to_free.push_back(orphans_[i]);
-          ++freed;
-        } else {
-          orphans_[kept++] = orphans_[i];
-        }
-      }
-      orphans_.resize(kept);
-    }
-    if (freed != 0) orphan_pending_.fetch_sub(freed, std::memory_order_relaxed);
-  }
+  ReclaimUpTo(min_active);
   reclaim_gate_.Unlock();
-  // Deleters run outside every latch: they may re-enter Retire (slab
-  // recycling bumps stats, pools retire containers).
-  for (const Retired& r : to_free) r.deleter(r.object, r.arg);
 }
 
 void EpochManager::DrainAll() {
   reclaim_gate_.Lock();
-  std::vector<Retired> to_free;
-  slots_.ForEach([&](ThreadSlot& slot) {
-    uint64_t freed = 0;
-    {
-      SpinLatchGuard guard(slot.latch);
-      while (!slot.retired.empty()) {
-        to_free.push_back(slot.retired.front());
-        slot.retired.pop_front();
-        ++freed;
-      }
+  ReclaimUpTo(kIdle);  // every epoch tag is below kIdle
+  reclaim_gate_.Unlock();
+}
+
+void EpochManager::ReclaimUpTo(uint64_t min_active) {
+  // Deleters run outside the queue latches: they may re-enter Retire (slab
+  // recycling bumps stats, pools retire containers), whose reclamation
+  // attempt then finds reclaim_gate_ taken and returns.
+  auto free_batch = [](const Retired* batch, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) {
+      batch[i].deleter(batch[i].object, batch[i].arg);
     }
-    if (freed != 0) slot.pending.fetch_sub(freed, std::memory_order_relaxed);
+  };
+  Retired batch[kBatch];  // only [0, n) is read: no need to zero it
+  slots_.ForEach([&](ThreadSlot& slot) {
+    if (slot.pending.load(std::memory_order_acquire) == 0) return;
+    for (;;) {
+      uint32_t n = 0;
+      {
+        SpinLatchGuard guard(slot.latch);
+        // Epoch tags are nondecreasing per queue: pop eligible entries off
+        // the front, O(freed), and never touch the backlog.
+        while (n < kBatch && slot.retired.size() != 0 &&
+               slot.retired.front().epoch < min_active) {
+          batch[n++] = slot.retired.PopFront();
+        }
+      }
+      if (n == 0) break;
+      slot.pending.fetch_sub(n, std::memory_order_relaxed);
+      free_batch(batch, n);
+    }
   });
+  if (orphan_pending_.load(std::memory_order_acquire) == 0) return;
+  // Orphan entries interleave from many dead threads, so tags are not
+  // ordered: visit each entry present now once, rotating the ones still
+  // protected to the back. Only gate holders pop, so the queue cannot
+  // shrink under the count.
+  uint64_t unvisited = 0;
   {
     SpinLatchGuard guard(orphans_latch_);
-    uint64_t freed = orphans_.size();
-    for (const Retired& r : orphans_) to_free.push_back(r);
-    orphans_.clear();
-    if (freed != 0) orphan_pending_.fetch_sub(freed, std::memory_order_relaxed);
+    unvisited = orphans_.size();
   }
-  reclaim_gate_.Unlock();
-  for (const Retired& r : to_free) r.deleter(r.object, r.arg);
+  while (unvisited != 0) {
+    uint32_t n = 0;
+    {
+      SpinLatchGuard guard(orphans_latch_);
+      for (; unvisited != 0 && n < kBatch; --unvisited) {
+        const Retired r = orphans_.PopFront();
+        if (r.epoch < min_active) {
+          batch[n++] = r;
+        } else {
+          orphans_.PushBack(r);
+        }
+      }
+    }
+    if (n != 0) orphan_pending_.fetch_sub(n, std::memory_order_relaxed);
+    free_batch(batch, n);
+  }
 }
 
 uint64_t EpochManager::PendingCount() const {

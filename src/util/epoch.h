@@ -20,9 +20,8 @@
 // queue, its pending count, its advance ticker. Retiring is a push onto the
 // thread's own queue; because a thread tags retirements with a monotone
 // clock, each queue is epoch-ordered and a reclamation pass pops eligible
-// objects off the front in O(freed), never copying the backlog (the old
-// single-vector design compacted O(pending) every pass, quadratic under
-// watermark lag). The global epoch is advanced by CAS only when every
+// objects off the front in O(freed), in fixed batches, never copying the
+// backlog or allocating. The global epoch is advanced by CAS only when every
 // active reader has caught up to it, so the shared line is written once per
 // epoch instead of once per attempt. Slots come from util/tls_slots.h and
 // are handed back on thread exit; a dying thread's queue is spliced onto an
@@ -39,11 +38,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "common/port.h"
 #include "common/spin_latch.h"
+#include "util/block_queue.h"
 #include "util/tls_slots.h"
 
 namespace mvstore {
@@ -112,6 +110,8 @@ class EpochManager {
     uint64_t epoch;
   };
 
+  static constexpr uint32_t kBatch = 64;  // most pops per latch hold
+
   struct alignas(kCacheLineSize) ThreadSlot {
     std::atomic<uint64_t> epoch{kIdle};
     std::atomic<uint32_t> nesting{0};
@@ -120,7 +120,7 @@ class EpochManager {
     /// The slot's retired queue: owner pushes at the back, reclaimers pop
     /// eligible entries off the front. Epoch tags are nondecreasing.
     mutable SpinLatch latch;
-    std::deque<Retired> retired GUARDED_BY(latch);
+    BlockQueue<Retired> retired GUARDED_BY(latch);
     std::atomic<uint64_t> pending{0};
   };
 
@@ -128,13 +128,15 @@ class EpochManager {
   /// reset the slot for its next thread.
   void ReleaseSlot(ThreadSlot& slot);
   uint64_t MinActiveEpoch(uint64_t global) const;
+  /// Frees every queued object tagged below `min_active`, in batches popped
+  /// under the queue latches. Caller holds reclaim_gate_.
   void ReclaimUpTo(uint64_t min_active);
 
   alignas(kCacheLineSize) std::atomic<uint64_t> global_epoch_{1};
 
   /// Retirements from dead or slotless threads; drained like a slot queue.
   mutable SpinLatch orphans_latch_;
-  std::deque<Retired> orphans_ GUARDED_BY(orphans_latch_);
+  BlockQueue<Retired> orphans_ GUARDED_BY(orphans_latch_);
   std::atomic<uint64_t> orphan_pending_{0};
 
   /// Guards that could not get a slot (thread teardown, slot exhaustion):

@@ -210,19 +210,30 @@ TEST(MetricsTest, GcBacklogGauge) {
   std::map<std::string, double> samples = ParseExposition(core.MetricsText());
   EXPECT_EQ(samples["mvstore_gc_pending_versions"],
             static_cast<double>(kUpdates));
+  // The pin is the one live transaction, and its snapshot is at least the
+  // kUpdates commits behind the clock.
+  EXPECT_EQ(samples["mvstore_live_transactions"], 1.0);
+  EXPECT_GE(samples["mvstore_snapshot_age_timestamps"],
+            static_cast<double>(kUpdates));
   ASSERT_TRUE(db.Commit(pin).ok());
   db.mv_engine()->gc().RunOnce();
   samples = ParseExposition(core.MetricsText());
   EXPECT_EQ(samples["mvstore_gc_pending_versions"], 0.0);
+  EXPECT_EQ(samples["mvstore_live_transactions"], 0.0);
+  EXPECT_EQ(samples["mvstore_snapshot_age_timestamps"], 0.0);
 
-  // The single-version engine has no version GC and no gauge.
+  // The single-version engine has no version GC and none of these gauges.
   DatabaseOptions sv_opts;
   sv_opts.scheme = Scheme::kSingleVersion;
   Database sv_db(sv_opts);
   ServerCore sv_core(sv_db);
-  EXPECT_EQ(ParseExposition(sv_core.MetricsText())
-                .count("mvstore_gc_pending_versions"),
-            0u);
+  const std::map<std::string, double> sv_samples =
+      ParseExposition(sv_core.MetricsText());
+  for (const char* gauge :
+       {"mvstore_gc_pending_versions", "mvstore_live_transactions",
+        "mvstore_snapshot_age_timestamps"}) {
+    EXPECT_EQ(sv_samples.count(gauge), 0u) << gauge;
+  }
 }
 
 /// Gate stub: a follower that replayed through ts 40 of a leader at ts 100.

@@ -495,6 +495,9 @@ TEST_F(ReplProtocolTest, ReadRouterRoutesReadsToFollower) {
   Status st;
   auto replica = Replica::Open(FollowerOptions("router"), &st);
   ASSERT_NE(replica, nullptr) << st.ToString();
+  // Catch-up can reach the leader's timestamp before the first attach; the
+  // follower's sessions refuse Begin until that attach makes it ready.
+  ASSERT_TRUE(WaitFor([&] { return replica->ready(); }));
   ASSERT_TRUE(WaitFor([&] {
     return replica->replayed_ts() >= db_->LastCommitTimestamp();
   }));

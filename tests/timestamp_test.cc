@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "storage/lock_word.h"
 #include "txn/timestamp.h"
 
 namespace mvstore {
@@ -102,39 +101,6 @@ TEST(TimestampTest, AdvanceToRaisesClock) {
   // AdvanceTo below the clock is a no-op, never a regression.
   gen.AdvanceTo(5);
   EXPECT_EQ(gen.Current(), after);
-}
-
-/// Transaction IDs mask to 54 bits and skip the two reserved encodings
-/// (0 and kNoWriter). Drive the raw counter across the wrap boundary.
-TEST(TxnIdBatchTest, WrapSkipsReservedEncodings) {
-  // Position so the next block straddles kNoWriter (= mask) and 0.
-  TxnIdGenerator gen(lockword::kNoWriter - 3);
-  std::set<TxnId> seen;
-  for (int i = 0; i < 2 * static_cast<int>(TxnIdGenerator::kBlockSize); ++i) {
-    TxnId id = gen.Next();
-    EXPECT_NE(id, 0u);
-    EXPECT_NE(id, lockword::kNoWriter);
-    EXPECT_LE(id, kMaxTxnId);
-    EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
-  }
-}
-
-/// Concurrent ID draws are unique (block handout is the only shared step).
-TEST(TxnIdBatchTest, ConcurrentUniqueness) {
-  TxnIdGenerator gen;
-  constexpr int kThreads = 8, kPer = 5000;
-  std::vector<std::vector<TxnId>> drawn(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      drawn[t].reserve(kPer);
-      for (int i = 0; i < kPer; ++i) drawn[t].push_back(gen.Next());
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<TxnId> all;
-  for (auto& v : drawn) all.insert(v.begin(), v.end());
-  EXPECT_EQ(all.size(), static_cast<size_t>(kThreads) * kPer);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -48,17 +49,22 @@ class VisibilityTest : public ::testing::Test {
     return v;
   }
 
-  Transaction* NewTxn(TxnId id, TxnState state, Timestamp end_ts = 0,
+  /// `name` is the test's label for the transaction (100, 200); the table
+  /// assigns the real ID, which Id(name) returns.
+  Transaction* NewTxn(TxnId name, TxnState state, Timestamp end_ts = 0,
                       bool in_table = true) {
-    auto* t = new Transaction(id, IsolationLevel::kSerializable,
+    auto* t = new Transaction(IsolationLevel::kSerializable,
                               /*pessimistic=*/false, /*read_only=*/false);
     t->begin_ts.store(1);
     t->end_ts.store(end_ts);
     t->state.store(state);
     txns_.push_back(t);
-    if (in_table) txn_table_.Insert(t);
+    if (in_table) txn_table_.Publish(t);
+    ids_[name] = t->id;
     return t;
   }
+
+  TxnId Id(TxnId name) { return ids_.at(name); }
 
   VisibilityContext Ctx(Transaction* self,
                         VisibilityMode mode = VisibilityMode::kNormalProcessing) {
@@ -75,6 +81,7 @@ class VisibilityTest : public ::testing::Test {
   StatsCollector stats_;
   std::vector<Version*> versions_;
   std::vector<Transaction*> txns_;
+  std::map<TxnId, TxnId> ids_;
 };
 
 /// --- both fields are timestamps ---------------------------------------------
@@ -109,7 +116,7 @@ TEST_F(VisibilityTest, GarbageVersionInvisible) {
 
 TEST_F(VisibilityTest, Table1ActiveOwnVersionLatestVisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
-  Version* v = NewVersion(beginword::MakeTxnId(100),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(100)),
                           lockword::MakeTimestamp(kInfinity));
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 1).visible);
 }
@@ -117,15 +124,15 @@ TEST_F(VisibilityTest, Table1ActiveOwnVersionLatestVisible) {
 TEST_F(VisibilityTest, Table1ActiveOwnVersionSupersededInvisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   // We created it, then replaced it ourselves (our write lock on it).
-  Version* v = NewVersion(beginword::MakeTxnId(100),
-                          lockword::MakeLockWord(0, 100));
+  Version* v = NewVersion(beginword::MakeTxnId(Id(100)),
+                          lockword::MakeLockWord(0, Id(100)));
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 1).visible);
 }
 
 TEST_F(VisibilityTest, Table1ActiveForeignVersionInvisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kActive);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 50).visible);
 }
@@ -133,7 +140,7 @@ TEST_F(VisibilityTest, Table1ActiveForeignVersionInvisible) {
 TEST_F(VisibilityTest, Table1PreparingSpeculativeRead) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* tb = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   // RT=40 > TS=30: speculative read; visible + commit dependency on TB.
   VisibilityResult r = CheckVisibility(Ctx(self), v, 40);
@@ -155,7 +162,7 @@ TEST_F(VisibilityTest, Table1PreparingReadCommittedWaitsForCreator) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   self->isolation = IsolationLevel::kReadCommitted;
   Transaction* tb = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   std::thread committer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -172,7 +179,7 @@ TEST_F(VisibilityTest, Table1PreparingReadCommittedWaitsForCreator) {
 TEST_F(VisibilityTest, Table1PreparingTooNewInvisibleNoDep) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   // RT=20 < TS=30: invisible whether TB commits or aborts; no dependency.
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 20).visible);
@@ -182,7 +189,7 @@ TEST_F(VisibilityTest, Table1PreparingTooNewInvisibleNoDep) {
 TEST_F(VisibilityTest, Table1CommittedUsesEndTsAsBeginTime) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kCommitted, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 40).visible);
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 20).visible);
@@ -192,7 +199,7 @@ TEST_F(VisibilityTest, Table1CommittedUsesEndTsAsBeginTime) {
 TEST_F(VisibilityTest, Table1AbortedCreatorGarbage) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kAborted);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 50).visible);
 }
@@ -219,7 +226,7 @@ TEST_F(VisibilityTest, Table2ActiveForeignWriterStillVisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kActive);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 50).visible);
 }
 
@@ -227,7 +234,7 @@ TEST_F(VisibilityTest, Table2OwnWriteLockInvisible) {
   // We updated/deleted V ourselves: our new version (or nothing) wins.
   Transaction* self = NewTxn(100, TxnState::kActive);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 100));
+                          lockword::MakeLockWord(0, Id(100)));
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 50).visible);
 }
 
@@ -235,7 +242,7 @@ TEST_F(VisibilityTest, Table2PreparingEndAfterReadTimeVisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kPreparing, /*end_ts=*/80);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   // TS=80 > RT=50: visible whether TE commits or aborts; no dependency.
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 50).visible);
   EXPECT_EQ(self->commit_dep_counter.load(), 0u);
@@ -245,7 +252,7 @@ TEST_F(VisibilityTest, Table2PreparingSpeculativeIgnore) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* te = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   // TS=30 < RT=50: speculatively ignore; invisible + commit dep on TE.
   VisibilityResult r = CheckVisibility(Ctx(self), v, 50);
   EXPECT_FALSE(r.visible);
@@ -265,7 +272,7 @@ TEST_F(VisibilityTest, Table2PreparingReadCommittedWaitsForWriter) {
   self->isolation = IsolationLevel::kReadCommitted;
   Transaction* te = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   std::thread committer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     te->state.store(TxnState::kCommitted);
@@ -282,7 +289,7 @@ TEST_F(VisibilityTest, Table2CommittedWriterEndTs) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kCommitted, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 20).visible);   // RT < TS
   EXPECT_FALSE(CheckVisibility(Ctx(self), v, 40).visible);  // RT > TS
 }
@@ -291,7 +298,7 @@ TEST_F(VisibilityTest, Table2AbortedWriterVisible) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kAborted);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_TRUE(CheckVisibility(Ctx(self), v, 50).visible);
 }
 
@@ -321,7 +328,7 @@ TEST_F(VisibilityTest, Table2TerminatedWriterRereadsEndField) {
 TEST_F(VisibilityTest, ValidationWaitsForPreparingCreator) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* tb = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   std::thread committer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -339,7 +346,7 @@ TEST_F(VisibilityTest, ValidationWaitsForPreparingCreator) {
 TEST_F(VisibilityTest, ValidationAbortedCreatorMeansGarbage) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* tb = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   std::thread aborter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -355,7 +362,7 @@ TEST_F(VisibilityTest, ValidationSpeculativeIgnoreStillRegistersDep) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* te = NewTxn(200, TxnState::kPreparing, /*end_ts=*/30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   // Section 3.2: dependencies during validation only via speculative ignore.
   VisibilityResult r =
       CheckVisibility(Ctx(self, VisibilityMode::kValidation), v, 50);
@@ -387,7 +394,7 @@ TEST_F(VisibilityTest, NotUpdatableWhenWriteLockedByActive) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kActive);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_EQ(CheckUpdatability(Ctx(self), v), Updatability::kWriteConflict);
 }
 
@@ -395,7 +402,7 @@ TEST_F(VisibilityTest, NotUpdatableWhenWriteLockedByPreparing) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kPreparing, 30);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_EQ(CheckUpdatability(Ctx(self), v), Updatability::kWriteConflict);
 }
 
@@ -403,7 +410,7 @@ TEST_F(VisibilityTest, UpdatableWhenWriterAborted) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   NewTxn(200, TxnState::kAborted);
   Version* v = NewVersion(beginword::MakeTimestamp(10),
-                          lockword::MakeLockWord(0, 200));
+                          lockword::MakeLockWord(0, Id(200)));
   EXPECT_EQ(CheckUpdatability(Ctx(self), v), Updatability::kUpdatable);
 }
 
@@ -420,7 +427,7 @@ TEST_F(VisibilityTest, UpdatableWhenOnlyReadLocked) {
 TEST_F(VisibilityTest, ProviderCommitResolvesDependency) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* tb = NewTxn(200, TxnState::kPreparing, 30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   ASSERT_TRUE(CheckVisibility(Ctx(self), v, 40).visible);
   ASSERT_EQ(self->commit_dep_counter.load(), 1u);
@@ -434,7 +441,7 @@ TEST_F(VisibilityTest, ProviderCommitResolvesDependency) {
 TEST_F(VisibilityTest, ProviderAbortCascades) {
   Transaction* self = NewTxn(100, TxnState::kActive);
   Transaction* tb = NewTxn(200, TxnState::kPreparing, 30);
-  Version* v = NewVersion(beginword::MakeTxnId(200),
+  Version* v = NewVersion(beginword::MakeTxnId(Id(200)),
                           lockword::MakeTimestamp(kInfinity));
   ASSERT_TRUE(CheckVisibility(Ctx(self), v, 40).visible);
 
