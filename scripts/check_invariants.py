@@ -91,10 +91,8 @@ THREAD_LOCAL_ALLOWLIST = {
     "wait of this thread: a POD value",
     ("src/storage/ordered_index.cc", "state"): "skip-list height RNG state: "
     "a POD value",
-    ("src/sv/sv_engine.cc", "buffer"): "WriteLog encode buffer: scratch, "
-    "cleared before every use and owned by nothing else",
-    ("src/cc/mv_engine.cc", "buffer"): "WriteLog encode buffer: scratch, "
-    "cleared before every use and owned by nothing else",
+    ("src/core/substrate.cc", "buffer"): "commit-record encode buffer: "
+    "scratch, cleared before every use and owned by nothing else",
 }
 
 FAILPOINT_RE = re.compile(r'MVSTORE_FAILPOINT\("([^"]+)"\)')

@@ -1,10 +1,5 @@
 #include "cc/mv_engine.h"
 
-#include "log/log_segment.h"
-#include "obs/slow_txn.h"
-
-#include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace mvstore {
@@ -39,41 +34,16 @@ Stat AbortStat(AbortReason reason) {
 
 }  // namespace
 
-MVEngine::MVEngine(MVEngineOptions options)
-    : options_(options),
-      hists_(options_.enable_latency_histograms),
-      slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
-      txn_pool_(/*enabled=*/true, &stats_) {
-  catalog_.ConfigureMemory(
-      Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
-  LogSink* sink = nullptr;
-  if (options_.log_mode != LogMode::kDisabled) {
-    if (options_.log_path.empty()) {
-      sink = new NullLogSink();
-    } else if (options_.log_segment_bytes > 0) {
-      sink = new SegmentedLogSink(
-          options_.log_path,
-          SegmentedLogSink::Options{options_.log_segment_bytes,
-                                    options_.fsync_log},
-          &stats_);
-    } else {
-      sink = new FileLogSink(options_.log_path, options_.fsync_log, &stats_);
-    }
-  }
-  logger_ = std::make_unique<Logger>(options_.log_mode, sink,
-                                     options_.group_commit_us, &stats_,
-                                     &hists_);
-  gc_ = std::make_unique<GarbageCollector>(txn_table_, epoch_, stats_,
-                                           options_.gc_interval_us);
-  gc_->SetHistograms(&hists_);
-  gc_->SetNowSource(
-      [](void* arg) {
-        return static_cast<TimestampGenerator*>(arg)->Current() + 1;
-      },
-      &ts_gen_);
+MVEngine::MVEngine(Substrate& substrate, MVEngineOptions options)
+    : txn_pool_(/*enabled=*/true, &substrate.stats()),
+      substrate_(substrate),
+      options_(options) {
+  gc_ = std::make_unique<GarbageCollector>(
+      txn_table_, substrate_.epoch(), substrate_.stats(), substrate_.ts_gen(),
+      substrate_.hists(), options_.gc_interval_us);
   if (options_.gc_interval_us > 0) gc_->Start();
   deadlock_ = std::make_unique<DeadlockDetector>(
-      txn_table_, epoch_, stats_,
+      txn_table_, substrate_.epoch(), substrate_.stats(),
       options_.deadlock_interval_us > 0 ? options_.deadlock_interval_us : 1000);
   if (options_.deadlock_interval_us > 0) deadlock_->Start();
 }
@@ -88,20 +58,10 @@ MVEngine::~MVEngine() {
     txn_pool_.Release(t);
   });
   // Drain the GC queue completely: with no live transactions, the watermark
-  // passes everything.
+  // passes everything. Retired transaction objects go back to txn_pool_
+  // while it is alive; the substrate frees the versions still linked.
   gc_->RunOnce();
-  epoch_.DrainAll();
-  // Free versions still linked in the indexes (the live database image).
-  for (uint32_t tid = 0; tid < catalog_.num_tables(); ++tid) {
-    Table& table = catalog_.table(tid);
-    if (table.num_indexes() == 0) continue;
-    std::vector<Version*> versions;
-    table.index(0).ScanAll([&](Version* v) {
-      versions.push_back(v);
-      return true;
-    });
-    for (Version* v : versions) table.FreeUnpublishedVersion(v);
-  }
+  substrate_.epoch().DrainAll();
 }
 
 Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
@@ -118,11 +78,8 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
   }
   Transaction* txn = txn_pool_.Acquire(isolation, pessimistic, read_only);
   // Sampled commit-pipeline tracing: the decision rides start_ticks so a
-  // sampled transaction gets a coherent whole-pipeline trace. slow_txn_us
-  // forces every commit to be timed (see obs::SampleThisTxn).
-  if (hists_.enabled() && (slow_txn_ticks_ != 0 || obs::SampleThisTxn())) {
-    txn->start_ticks = obs::NowTicks();
-  }
+  // sampled transaction gets a coherent whole-pipeline trace.
+  txn->start_ticks = substrate_.SampleStartTicks();
   // Publish with begin_ts == 0 first: the GC watermark treats an unknown
   // begin timestamp as "could be anything", so no version this transaction
   // might see can be reclaimed in the window before the timestamp is set.
@@ -132,7 +89,7 @@ Transaction* MVEngine::Begin(IsolationLevel isolation, bool pessimistic,
   // commits pay for it). Current() is at or above every finished commit and
   // strictly below every end timestamp drawn after it, which is exactly
   // what a snapshot needs.
-  txn->begin_ts.store(ts_gen_.Current(), std::memory_order_release);
+  txn->begin_ts.store(substrate_.ts_gen().Current(), std::memory_order_release);
   return txn;
 }
 
@@ -141,10 +98,10 @@ Timestamp MVEngine::ReadTime(Transaction* txn) const {
   if (txn->pessimistic) {
     return txn->isolation == IsolationLevel::kSnapshot
                ? txn->begin_ts.load(std::memory_order_acquire)
-               : ts_gen_.Current();
+               : substrate_.ts_gen().Current();
   }
   return txn->isolation == IsolationLevel::kReadCommitted
-             ? ts_gen_.Current()
+             ? substrate_.ts_gen().Current()
              : txn->begin_ts.load(std::memory_order_acquire);
 }
 
@@ -152,7 +109,7 @@ VisibilityContext MVEngine::VisCtx(Transaction* txn, VisibilityMode mode) {
   VisibilityContext ctx;
   ctx.self = txn;
   ctx.txn_table = &txn_table_;
-  ctx.stats = &stats_;
+  ctx.stats = &substrate_.stats();
   ctx.mode = mode;
   return ctx;
 }
@@ -219,7 +176,7 @@ Status MVEngine::AcquireReadLock(Transaction* txn, Version* v, bool* locked) {
       if (v->end.compare_exchange_strong(end_word,
                                          lockword::WithReadCount(end_word, 1),
                                          std::memory_order_acq_rel)) {
-        stats_.Add(Stat::kWaitForDepsTaken);
+        substrate_.stats().Add(Stat::kWaitForDepsTaken);
         *locked = true;
         return Status::OK();
       }
@@ -325,7 +282,7 @@ Status MVEngine::InstallWriteLock(Transaction* txn, Version* v) {
                                        std::memory_order_acq_rel)) {
         if (lockword::ReadCountOf(end_word) > 0 && UsesWaitFors(txn)) {
           txn->wait_for_counter.fetch_add(1, std::memory_order_seq_cst);
-          stats_.Add(Stat::kWaitForDepsTaken);
+          substrate_.stats().Add(Stat::kWaitForDepsTaken);
         }
         return Status::OK();
       }
@@ -350,7 +307,7 @@ Status MVEngine::InstallWriteLock(Transaction* txn, Version* v) {
                                        std::memory_order_acq_rel)) {
         if (lockword::ReadCountOf(end_word) > 0 && UsesWaitFors(txn)) {
           txn->wait_for_counter.fetch_add(1, std::memory_order_seq_cst);
-          stats_.Add(Stat::kWaitForDepsTaken);
+          substrate_.stats().Add(Stat::kWaitForDepsTaken);
         }
         return Status::OK();
       }
@@ -421,7 +378,7 @@ Status MVEngine::ImposePhantomDependency(Transaction* txn, Version* v) {
           SpinLatchGuard guard(txn->waiting_latch);
           txn->waiting_txn_list.push_back(tb_id);
         }
-        stats_.Add(Stat::kWaitForDepsTaken);
+        substrate_.stats().Add(Stat::kWaitForDepsTaken);
         return Status::OK();
       }
     }
@@ -433,7 +390,7 @@ Status MVEngine::TakeBucketLockDependencies(Transaction* txn,
   if (HashIndex::BucketLockCount(*bucket) == 0) return Status::OK();
   for (TxnId holder_id : bucket_locks_.Holders(bucket)) {
     if (holder_id == txn->id) continue;
-    EpochGuard guard(epoch_);
+    EpochGuard guard(substrate_.epoch());
     Transaction* holder = txn_table_.Find(holder_id);
     if (holder == nullptr) continue;  // completed
     bool added = false;
@@ -446,7 +403,7 @@ Status MVEngine::TakeBucketLockDependencies(Transaction* txn,
     }
     if (added) {
       txn->wait_for_counter.fetch_add(1, std::memory_order_seq_cst);
-      stats_.Add(Stat::kWaitForDepsTaken);
+      substrate_.stats().Add(Stat::kWaitForDepsTaken);
     }
   }
   return Status::OK();
@@ -495,7 +452,7 @@ Status MVEngine::Scan(Transaction* txn, TableId table_id, IndexId index_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   if (table.ordered_index(index_id) != nullptr) {
     // Equality probe on the ordered access path: a degenerate range. Phantom
     // protection comes from the range machinery (precommit rescan), not
@@ -503,7 +460,7 @@ Status MVEngine::Scan(Transaction* txn, TableId table_id, IndexId index_id,
     return ScanRange(txn, table_id, index_id, key, key, residual, consumer);
   }
   HashIndex& index = table.index(index_id);
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
 
   Timestamp read_time = ReadTime(txn);
   const bool serializable = txn->isolation == IsolationLevel::kSerializable;
@@ -570,10 +527,10 @@ Status MVEngine::ScanRange(Transaction* txn, TableId table_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   OrderedIndex* index = table.ordered_index(index_id);
   if (index == nullptr) return Status::InvalidArgument();
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
 
   Timestamp read_time = ReadTime(txn);
   const bool serializable = txn->isolation == IsolationLevel::kSerializable;
@@ -626,9 +583,9 @@ Status MVEngine::ScanTable(Transaction* txn, TableId table_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   HashIndex& index = table.index(0);
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   Timestamp read_time = ReadTime(txn);
   VisibilityContext ctx = VisCtx(txn, VisibilityMode::kNormalProcessing);
   Status result = Status::OK();
@@ -653,7 +610,7 @@ Status MVEngine::Read(Transaction* txn, TableId table_id, IndexId index_id,
     void* out;
     uint32_t size;
     bool found;
-  } target{out, catalog_.table(table_id).payload_size(), false};
+  } target{out, substrate_.table(table_id).payload_size(), false};
   Status s = Scan(txn, table_id, index_id, key, nullptr,
                   [t = &target](const void* payload) {
                     std::memcpy(t->out, payload, t->size);
@@ -693,8 +650,8 @@ Status MVEngine::Insert(Transaction* txn, TableId table_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
-  EpochGuard guard(epoch_);
+  Table& table = substrate_.table(table_id);
+  EpochGuard guard(substrate_.epoch());
   HashIndex& primary = table.index(0);
   const uint64_t key = primary.KeyOfPayload(payload);
   const bool unique = table.index_def(0).unique;
@@ -736,7 +693,7 @@ Status MVEngine::Insert(Transaction* txn, TableId table_id,
     }
   }
   txn->AddWrite(&table, nullptr, v);
-  stats_.Add(Stat::kVersionsCreated);
+  substrate_.stats().Add(Stat::kVersionsCreated);
 
   // Close the check-then-insert race: if another in-flight insert of the
   // same key is now present, retract ours. (Both racers may retract; the
@@ -744,7 +701,7 @@ Status MVEngine::Insert(Transaction* txn, TableId table_id,
   if (unique && key_conflict(v)) {
     txn->write_set.pop_back();
     table.UnlinkFromAllIndexes(v);
-    epoch_.Retire(v, &Table::VersionDeleter, &table);
+    substrate_.epoch().Retire(v, &Table::VersionDeleter, &table);
     return Status::AlreadyExists();
   }
   return Status::OK();
@@ -756,8 +713,8 @@ Status MVEngine::Update(Transaction* txn, TableId table_id, IndexId index_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
-  EpochGuard guard(epoch_);
+  Table& table = substrate_.table(table_id);
+  EpochGuard guard(substrate_.epoch());
 
   Status status;
   Version* v = FindVisible(txn, table, index_id, key, ReadTime(txn), nullptr,
@@ -788,7 +745,7 @@ Status MVEngine::Update(Transaction* txn, TableId table_id, IndexId index_id,
     }
   }
   txn->AddWrite(&table, v, vn);
-  stats_.Add(Stat::kVersionsCreated);
+  substrate_.stats().Add(Stat::kVersionsCreated);
   return Status::OK();
 }
 
@@ -798,8 +755,8 @@ Status MVEngine::Delete(Transaction* txn, TableId table_id, IndexId index_id,
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  Table& table = catalog_.table(table_id);
-  EpochGuard guard(epoch_);
+  Table& table = substrate_.table(table_id);
+  EpochGuard guard(substrate_.epoch());
 
   Status status;
   Version* v = FindVisible(txn, table, index_id, key, ReadTime(txn), nullptr,
@@ -821,7 +778,8 @@ Status MVEngine::Delete(Transaction* txn, TableId table_id, IndexId index_id,
 /// ---------------------------------------------------------------------------
 
 void MVEngine::ReleaseHeldLocks(Transaction* txn) {
-  EpochGuard guard(epoch_);  // lock release dereferences writer transactions
+  // Lock release dereferences writer transactions.
+  EpochGuard guard(substrate_.epoch());
   // Read locks.
   {
     SpinLatchGuard latch(txn->read_set_latch);
@@ -846,7 +804,7 @@ void MVEngine::DrainWaitingList(Transaction* txn) {
     txn->waiting_drained = true;
     waiters.swap(txn->waiting_txn_list);
   }
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   for (TxnId id : waiters) {
     Transaction* t = txn_table_.Find(id);
     if (t != nullptr) {
@@ -868,7 +826,7 @@ bool MVEngine::FinishNormalProcessing(Transaction* txn) {
   }
   txn->no_more_wait_fors.store(true, std::memory_order_seq_cst);
   if (txn->wait_for_counter.load(std::memory_order_seq_cst) > 0) {
-    stats_.Add(Stat::kPrecommitWaits);
+    substrate_.stats().Add(Stat::kPrecommitWaits);
     txn->blocked.store(true, std::memory_order_release);
     txn->WaitEvent([&] {
       return txn->wait_for_counter.load(std::memory_order_acquire) <= 0 ||
@@ -880,7 +838,7 @@ bool MVEngine::FinishNormalProcessing(Transaction* txn) {
 }
 
 Status MVEngine::Validate(Transaction* txn) {
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   const Timestamp end_time = txn->end_ts.load(std::memory_order_acquire);
   VisibilityContext ctx = VisCtx(txn, VisibilityMode::kValidation);
 
@@ -931,7 +889,7 @@ Status MVEngine::Validate(Transaction* txn) {
 
 Status MVEngine::ValidateRangeScans(Transaction* txn) {
   if (txn->range_scan_set.empty()) return Status::OK();
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   const Timestamp end_time = txn->end_ts.load(std::memory_order_acquire);
   const Timestamp begin_time = txn->begin_ts.load(std::memory_order_acquire);
   VisibilityContext ctx = VisCtx(txn, VisibilityMode::kValidation);
@@ -960,28 +918,24 @@ Status MVEngine::ValidateRangeScans(Transaction* txn) {
   return Status::OK();
 }
 
-void MVEngine::WriteLog(Transaction* txn) {
-  if (logger_->mode() == LogMode::kDisabled || txn->write_set.empty()) return;
-  if (logger_->replay_paused()) return;  // recovery: record already on disk
-  thread_local std::vector<uint8_t> buffer;
-  buffer.clear();
-  LogRecordBuilder builder(buffer);
-  builder.BeginRecord(txn->end_ts.load(std::memory_order_relaxed), txn->id);
-  for (const WriteSetEntry& w : txn->write_set) {
-    if (w.old_version == nullptr && w.new_version != nullptr) {
-      builder.AddInsert(w.table->id(), w.new_version->Payload(),
-                        w.table->payload_size());
-    } else if (w.old_version != nullptr && w.new_version != nullptr) {
-      builder.AddUpdate(w.table->id(), w.table->index(0).KeyOf(w.new_version),
-                        w.old_version->Payload(), w.new_version->Payload(),
-                        w.table->payload_size());
-    } else if (w.old_version != nullptr) {
-      builder.AddDelete(w.table->id(),
-                        w.table->index(0).KeyOf(w.old_version));
-    }
-  }
-  builder.EndRecord();
-  logger_->Append(buffer);
+bool MVEngine::WriteLog(Transaction* txn) {
+  return substrate_.WriteLog(
+      txn->id, txn->end_ts.load(std::memory_order_relaxed),
+      !txn->write_set.empty(), [txn](LogRecordBuilder& builder) {
+        for (const WriteSetEntry& w : txn->write_set) {
+          Table& t = *w.table;
+          if (w.old_version == nullptr && w.new_version != nullptr) {
+            builder.AddInsert(t.id(), w.new_version->Payload(),
+                              t.payload_size());
+          } else if (w.old_version != nullptr && w.new_version != nullptr) {
+            builder.AddUpdate(t.id(), t.index(0).KeyOf(w.new_version),
+                              w.old_version->Payload(),
+                              w.new_version->Payload(), t.payload_size());
+          } else if (w.old_version != nullptr) {
+            builder.AddDelete(t.id(), t.index(0).KeyOf(w.old_version));
+          }
+        }
+      });
 }
 
 void MVEngine::Postprocess(Transaction* txn, bool committed) {
@@ -1054,7 +1008,7 @@ void MVEngine::Terminate(Transaction* txn, bool committed) {
   txn->state.store(TxnState::kTerminated, std::memory_order_release);
   txn_table_.Unpublish(txn);
   // Back to the pool once no visibility check can still dereference it.
-  epoch_.Retire(
+  substrate_.epoch().Retire(
       txn,
       [](void* p, void* pool) {
         static_cast<ObjectPool<Transaction>*>(pool)->Release(
@@ -1064,7 +1018,7 @@ void MVEngine::Terminate(Transaction* txn, bool committed) {
 }
 
 Status MVEngine::DoAbort(Transaction* txn, AbortReason reason) {
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   txn->state.store(TxnState::kAborted, std::memory_order_release);
   ReleaseHeldLocks(txn);
   if (UsesWaitFors(txn)) {
@@ -1073,8 +1027,8 @@ Status MVEngine::DoAbort(Transaction* txn, AbortReason reason) {
   }
   ResolveCommitDependencies(txn, /*committed=*/false, txn_table_);
   Postprocess(txn, /*committed=*/false);
-  stats_.Add(Stat::kTxnAborted);
-  stats_.Add(AbortStat(reason));
+  substrate_.stats().Add(Stat::kTxnAborted);
+  substrate_.stats().Add(AbortStat(reason));
   Terminate(txn, /*committed=*/false);
   gc_->Cooperate(options_.cooperative_gc_budget);
   return Status::Aborted(reason);
@@ -1088,15 +1042,10 @@ Status MVEngine::Commit(Transaction* txn) {
   // No epoch guard across this function: it contains blocking waits, and
   // pinning an epoch while blocked would stall reclamation engine-wide.
   //
-  // Phase timing (docs/OBSERVABILITY.md): one NowTicks() read per phase
-  // boundary on the transactions Begin() picked for tracing (1 in 32 per
-  // thread — see obs::SampleThisTxn; slow_txn_us forces every commit),
-  // nothing but this branch otherwise. Validate = entry through the
-  // commit-dep wait; log append = WriteLog minus the group-commit wait the
-  // Logger measures itself.
-  const bool timed = slow_txn_ticks_ != 0 ||
-                     (txn->start_ticks != 0 && hists_.enabled());
-  const uint64_t t_enter = timed ? obs::NowTicks() : 0;
+  // Phase timing (docs/OBSERVABILITY.md): validate = entry through the
+  // commit-dep wait; log append = WriteLog minus the group-commit wait.
+  Substrate::CommitTracer trace(substrate_, txn->id, txn->start_ticks,
+                                txn->write_set.size());
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
@@ -1117,7 +1066,7 @@ Status MVEngine::Commit(Transaction* txn) {
   // a committed update). Readers that catch Preparing before the timestamp
   // store spin in AwaitEndTimestamp.
   txn->state.store(TxnState::kPreparing, std::memory_order_seq_cst);
-  txn->end_ts.store(ts_gen_.Next(), std::memory_order_seq_cst);
+  txn->end_ts.store(substrate_.ts_gen().Next(), std::memory_order_seq_cst);
 
   // Now that the serialization point is fixed, release read and bucket
   // locks and the outgoing wait-for dependencies (Section 4.2.2). Any
@@ -1143,7 +1092,7 @@ Status MVEngine::Commit(Transaction* txn) {
 
   // Wait for outstanding commit dependencies (Sections 2.7, 3.2, 4.3.2).
   if (txn->commit_dep_counter.load(std::memory_order_acquire) > 0) {
-    stats_.Add(Stat::kCommitDepWaits);
+    substrate_.stats().Add(Stat::kCommitDepWaits);
     txn->WaitEvent([&] {
       return txn->commit_dep_counter.load(std::memory_order_acquire) == 0 ||
              txn->abort_now.load(std::memory_order_acquire);
@@ -1152,54 +1101,20 @@ Status MVEngine::Commit(Transaction* txn) {
   if (txn->abort_now.load(std::memory_order_acquire)) {
     return DoAbort(txn, KillReason(txn));
   }
-  const uint64_t t_validated = timed ? obs::NowTicks() : 0;
+  trace.Validated();
 
   // Log and commit.
-  WriteLog(txn);
-  // Append resets the thread-local wait on entry; guard against commits
-  // whose WriteLog never reached Append (empty write set, disabled or
-  // paused logger) reading a previous commit's wait.
-  const uint64_t group_wait_ticks =
-      (timed && !txn->write_set.empty() &&
-       logger_->mode() != LogMode::kDisabled && !logger_->replay_paused())
-          ? Logger::LastGroupWaitTicks()
-          : 0;
-  const uint64_t t_logged = timed ? obs::NowTicks() : 0;
+  trace.Logged(WriteLog(txn));
   txn->state.store(TxnState::kCommitted, std::memory_order_seq_cst);
   {
-    EpochGuard guard(epoch_);
+    EpochGuard guard(substrate_.epoch());
     ResolveCommitDependencies(txn, /*committed=*/true, txn_table_);
   }
   Postprocess(txn, /*committed=*/true);
-  stats_.Add(Stat::kTxnCommitted);
-  const uint64_t writes = txn->write_set.size();
-  const TxnId txn_id = txn->id;
-  const uint64_t start_ticks = txn->start_ticks;
+  substrate_.stats().Add(Stat::kTxnCommitted);
   Terminate(txn, /*committed=*/true);
   gc_->Cooperate(options_.cooperative_gc_budget);
-  if (timed) {
-    const uint64_t t_done = obs::NowTicks();
-    const uint64_t total = t_done - t_enter;
-    const uint64_t log_span = t_logged - t_validated;
-    hists_.Record(obs::Hist::kCommitTotal, total);
-    hists_.Record(obs::Hist::kCommitValidate, t_validated - t_enter);
-    hists_.Record(obs::Hist::kCommitLogAppend,
-                  log_span - std::min(log_span, group_wait_ticks));
-    if (start_ticks != 0) {
-      hists_.Record(obs::Hist::kTxnLifetime, t_done - start_ticks);
-    }
-    if (slow_txn_ticks_ != 0 && total >= slow_txn_ticks_) {
-      obs::CommitTrace trace;
-      trace.scheme = "mv";
-      trace.txn_id = txn_id;
-      trace.total_ticks = total;
-      trace.validate_ticks = t_validated - t_enter;
-      trace.log_append_ticks = log_span - std::min(log_span, group_wait_ticks);
-      trace.group_wait_ticks = group_wait_ticks;
-      trace.writes = writes;
-      obs::LogSlowTxn(trace, &stats_);
-    }
-  }
+  trace.Finish();
   return Status::OK();
 }
 

@@ -18,39 +18,24 @@
 #include "cc/bucket_lock.h"
 #include "cc/deadlock.h"
 #include "cc/visibility.h"
-#include "common/counters.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/substrate.h"
 #include "gc/garbage_collector.h"
-#include "log/logger.h"
 #include "mem/object_pool.h"
-#include "obs/histogram.h"
 #include "storage/table.h"
-#include "txn/timestamp.h"
 #include "txn/transaction.h"
 #include "txn/txn_table.h"
-#include "util/epoch.h"
 
 namespace mvstore {
 
+/// The MV-only knobs; the shared ones (logging, memory, observability)
+/// live in the Substrate's DatabaseOptions.
 struct MVEngineOptions {
   /// Optimistic transactions honor MV/L read/bucket locks (Section 4.5).
   /// Irrelevant when no pessimistic transactions run, except for the small
   /// cost of the precommit wait-for barrier.
   bool honor_locks = true;
-
-  /// Redo logging (paper default: asynchronous group commit).
-  LogMode log_mode = LogMode::kAsync;
-  /// Empty = NullLogSink (count bytes only); otherwise a file path.
-  std::string log_path;
-  /// fsync each flushed batch (see DatabaseOptions::fsync_log).
-  bool fsync_log = false;
-  /// > 0: log_path names a rotating-segment prefix (log/log_segment.h) and
-  /// segments rotate at this size, enabling checkpoint truncation.
-  /// 0: log_path is one append-only file (no rotation, no truncation).
-  uint64_t log_segment_bytes = 0;
-  /// Group-commit window (see Logger); 0 = flush as soon as possible.
-  uint32_t group_commit_us = 0;
 
   /// Background garbage collection sweep interval; 0 disables the thread
   /// (cooperative GC still runs).
@@ -60,20 +45,6 @@ struct MVEngineOptions {
 
   /// Deadlock-detector pass interval; 0 disables the thread.
   uint32_t deadlock_interval_us = 1000;
-
-  /// Recycle version slots through per-table slabs (mem/). Off = every
-  /// version is a global heap allocation -- slower, but gives ASan-style
-  /// tooling full lifetime visibility. Transaction objects are always
-  /// pooled: the transaction table needs them for the engine's life.
-  bool use_slab_allocator = true;
-
-  /// Record commit-pipeline phase latencies into obs/ histograms
-  /// (docs/OBSERVABILITY.md). Off = Record() is a single relaxed load.
-  bool enable_latency_histograms = true;
-
-  /// Commits slower than this emit one rate-limited slow-txn log line with
-  /// the per-phase breakdown (obs/slow_txn.h); 0 disables.
-  uint64_t slow_txn_us = 0;
 };
 
 /// Callback deciding whether a payload matches a residual predicate.
@@ -85,7 +56,11 @@ using Mutator = std::function<void(void* payload)>;
 
 class MVEngine {
  public:
-  explicit MVEngine(MVEngineOptions options = {});
+  /// `substrate` (core/substrate.h) must outlive the engine. Version slots
+  /// come from its catalog's slabs when use_slab_allocator is on;
+  /// transaction objects are always pooled: the transaction table needs
+  /// them for the engine's life.
+  explicit MVEngine(Substrate& substrate, MVEngineOptions options = {});
   ~MVEngine();
 
   MVEngine(const MVEngine&) = delete;
@@ -93,9 +68,9 @@ class MVEngine {
 
   /// --- schema ---------------------------------------------------------------
 
-  TableId CreateTable(TableDef def) { return catalog_.CreateTable(std::move(def)); }
-  Table& table(TableId id) { return catalog_.table(id); }
-  Catalog& catalog() { return catalog_; }
+  TableId CreateTable(TableDef def) {
+    return substrate_.catalog().CreateTable(std::move(def));
+  }
 
   /// --- transaction lifecycle -------------------------------------------------
 
@@ -166,15 +141,8 @@ class MVEngine {
 
   /// --- infrastructure access ---------------------------------------------------
 
-  EpochManager& epoch() { return epoch_; }
   TxnTable& txn_table() { return txn_table_; }
-  TimestampGenerator& ts_gen() { return ts_gen_; }
-  StatsCollector& stats() { return stats_; }
-  obs::LatencyHistograms& hists() { return hists_; }
   GarbageCollector& gc() { return *gc_; }
-  Logger& logger() { return *logger_; }
-  DeadlockDetector& deadlock_detector() { return *deadlock_; }
-  const MVEngineOptions& options() const { return options_; }
 
  private:
   /// Logical read time for a transaction's reads (Sections 3.1, 4.3.1).
@@ -233,8 +201,9 @@ class MVEngine {
   /// it directly at precommit (bucket locks cover hash scans only).
   Status ValidateRangeScans(Transaction* txn);
 
-  /// Write the commit record (Section 3.2 logging step).
-  void WriteLog(Transaction* txn);
+  /// Write the commit record (Section 3.2 logging step); true when one was
+  /// appended.
+  bool WriteLog(Transaction* txn);
 
   /// Propagate end timestamp / reset fields (Section 3.3).
   void Postprocess(Transaction* txn, bool committed);
@@ -248,24 +217,17 @@ class MVEngine {
   void ReleaseHeldLocks(Transaction* txn);
   void DrainWaitingList(Transaction* txn);
 
-  MVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool count
-  /// into it until they die. hists_ keeps the same position
-  /// for the same reason (the logger records group waits until it dies).
-  StatsCollector stats_;
-  obs::LatencyHistograms hists_;
-  /// Precomputed SlowTxnThresholdTicks(options_.slow_txn_us); 0 = disabled.
-  uint64_t slow_txn_ticks_ = 0;
-  Catalog catalog_;
   /// Always enabled: owns what txn_table_ points at for the engine's life.
   ObjectPool<Transaction> txn_pool_;
-  EpochManager epoch_;
   TxnTable txn_table_;
-  TimestampGenerator ts_gen_;
   BucketLockTable bucket_locks_;
-  std::unique_ptr<Logger> logger_;
   std::unique_ptr<GarbageCollector> gc_;
   std::unique_ptr<DeadlockDetector> deadlock_;
+  /// Read by every transaction, so kept after the latch-bearing members:
+  /// placed ahead of txn_pool_ they cost the two-thread empty-commit loop
+  /// ~10% of its throughput.
+  Substrate& substrate_;
+  MVEngineOptions options_;
 };
 
 }  // namespace mvstore

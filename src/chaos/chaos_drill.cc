@@ -263,6 +263,14 @@ std::unique_ptr<Replica> OpenChildReplica(const DrillOptions& options,
     replica = OpenChildReplica(options, MakeFollowerDbOptions(options),
                                shipper->port(), /*allow_wipe=*/true);
     if (replica == nullptr) std::_Exit(7);
+    // Writers wait (at most 2 s) for the follower to attach: a short cycle
+    // could otherwise crash before the follower saw the live stream.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(2);
+    while (!std::filesystem::exists(MarkerPath(options)) &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   int ack_fd = ::open((options.dir + "/acks.bin").c_str(),

@@ -282,9 +282,9 @@ Status LoadCheckpoint(Database& db, const std::string& path,
 }
 
 Status Database::Checkpoint() {
-  if (options_.checkpoint_path.empty()) return Status::InvalidArgument();
+  if (options().checkpoint_path.empty()) return Status::InvalidArgument();
   Checkpointer checkpointer(
-      *this, Checkpointer::Options{options_.checkpoint_path,
+      *this, Checkpointer::Options{options().checkpoint_path,
                                    /*truncate_log=*/true});
   return checkpointer.Take(nullptr);
 }

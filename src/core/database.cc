@@ -8,33 +8,17 @@
 namespace mvstore {
 
 Database::Database(DatabaseOptions options)
-    : options_(options), txn_handle_pool_(options_.use_slab_allocator) {
-  if (options_.scheme == Scheme::kSingleVersion) {
+    : substrate_(options), txn_handle_pool_(options.use_slab_allocator) {
+  if (options.scheme == Scheme::kSingleVersion) {
     SVEngineOptions sv;
-    sv.lock_timeout_us = options_.lock_timeout_us;
-    sv.log_mode = options_.log_mode;
-    sv.log_path = options_.log_path;
-    sv.fsync_log = options_.fsync_log;
-    sv.log_segment_bytes = options_.log_segment_bytes;
-    sv.group_commit_us = options_.group_commit_us;
-    sv.use_slab_allocator = options_.use_slab_allocator;
-    sv.enable_latency_histograms = options_.enable_latency_histograms;
-    sv.slow_txn_us = options_.slow_txn_us;
-    sv_ = std::make_unique<SVEngine>(sv);
+    sv.lock_timeout_us = options.lock_timeout_us;
+    sv_ = std::make_unique<SVEngine>(substrate_, sv);
   } else {
     MVEngineOptions mv;
-    mv.honor_locks = options_.honor_locks;
-    mv.log_mode = options_.log_mode;
-    mv.log_path = options_.log_path;
-    mv.fsync_log = options_.fsync_log;
-    mv.log_segment_bytes = options_.log_segment_bytes;
-    mv.group_commit_us = options_.group_commit_us;
-    mv.gc_interval_us = options_.gc_interval_us;
-    mv.deadlock_interval_us = options_.deadlock_interval_us;
-    mv.use_slab_allocator = options_.use_slab_allocator;
-    mv.enable_latency_histograms = options_.enable_latency_histograms;
-    mv.slow_txn_us = options_.slow_txn_us;
-    mv_ = std::make_unique<MVEngine>(mv);
+    mv.honor_locks = options.honor_locks;
+    mv.gc_interval_us = options.gc_interval_us;
+    mv.deadlock_interval_us = options.deadlock_interval_us;
+    mv_ = std::make_unique<MVEngine>(substrate_, mv);
   }
   // A dead sink at construction (bad path, permissions, full disk) means
   // every commit from here on would silently lose durability; say so once,
@@ -43,7 +27,7 @@ Database::Database(DatabaseOptions options)
     std::fprintf(stderr,
                  "mvstore: database log sink on '%s' is broken; commits will "
                  "NOT be durable (check Database::log_status())\n",
-                 options_.log_path.c_str());
+                 options.log_path.c_str());
   }
 }
 
@@ -54,46 +38,9 @@ TableId Database::CreateTable(TableDef def) {
                         : sv_->CreateTable(std::move(def));
 }
 
-uint32_t Database::PayloadSize(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).payload_size()
-                        : sv_->table(table_id).payload_size();
-}
-
-uint32_t Database::NumTables() {
-  return mv_ != nullptr ? mv_->catalog().num_tables()
-                        : sv_->catalog().num_tables();
-}
-
-uint32_t Database::NumIndexes(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).num_indexes()
-                        : sv_->table(table_id).num_indexes();
-}
-
-const std::string& Database::TableName(TableId table_id) {
-  return mv_ != nullptr ? mv_->table(table_id).name()
-                        : sv_->table(table_id).name();
-}
-
-uint64_t Database::PrimaryKeyOfPayload(TableId table_id, const void* payload) {
-  Table& table = mv_ != nullptr ? mv_->table(table_id) : sv_->table(table_id);
-  return table.IndexKeyOfPayload(0, payload);
-}
-
-Logger& Database::logger() {
-  return mv_ != nullptr ? mv_->logger() : sv_->logger();
-}
-
-Timestamp Database::LastCommitTimestamp() {
-  return (mv_ != nullptr ? mv_->ts_gen() : sv_->ts_gen()).Current();
-}
-
-void Database::AdvanceCommitTimestamp(Timestamp floor) {
-  (mv_ != nullptr ? mv_->ts_gen() : sv_->ts_gen()).AdvanceTo(floor);
-}
-
 Txn* Database::Begin(IsolationLevel isolation, bool read_only) {
   if (mv_ != nullptr) {
-    bool pessimistic = options_.scheme == Scheme::kMultiVersionLocking;
+    bool pessimistic = options().scheme == Scheme::kMultiVersionLocking;
     return txn_handle_pool_.Acquire(
         mv_->Begin(isolation, pessimistic, read_only), nullptr, isolation);
   }
@@ -120,7 +67,7 @@ bool Database::WriteAllowed(bool check_sink) {
     stats().Add(Stat::kWritesRefusedReadOnly);
     return false;
   }
-  if (check_sink && options_.log_mode != LogMode::kDisabled &&
+  if (check_sink && options().log_mode != LogMode::kDisabled &&
       MVSTORE_UNLIKELY(!log_status().ok())) {
     EnterReadOnlyMode("log sink reported failure");
     stats().Add(Stat::kWritesRefusedReadOnly);
@@ -136,20 +83,15 @@ Status Database::Commit(Txn* txn) {
     // Refuse before anything becomes visible or reaches the log: roll the
     // transaction back and report the degradation instead of acknowledging
     // a commit that could never be durable.
-    if (txn->mv != nullptr) {
-      mv_->Abort(txn->mv);
-    } else {
-      sv_->Abort(txn->sv);
-    }
-    ReleaseTxn(txn);
+    Abort(txn);
     return Status::ReadOnly();
   }
   Status s = txn->mv != nullptr ? mv_->Commit(txn->mv) : sv_->Commit(txn->sv);
   ReleaseTxn(txn);
-  if (has_writes && options_.log_mode != LogMode::kDisabled &&
+  if (has_writes && options().log_mode != LogMode::kDisabled &&
       MVSTORE_UNLIKELY(!log_status().ok())) {
     EnterReadOnlyMode("log write/fsync failure during commit");
-    if (s.ok() && options_.log_mode == LogMode::kSync) {
+    if (s.ok() && options().log_mode == LogMode::kSync) {
       // The engine committed in memory but the synchronous flush this ack
       // would have vouched for failed: the outcome is NOT durable. Report
       // kReadOnly so the caller treats the transaction as failed (the
@@ -169,59 +111,52 @@ void Database::Abort(Txn* txn) {
   ReleaseTxn(txn);
 }
 
-Status Database::Read(Txn* txn, TableId table_id, IndexId index_id,
-                      uint64_t key, void* out) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->Read(txn->mv, table_id, index_id, key, out)
-                 : sv_->Read(txn->sv, table_id, index_id, key, out);
-  if (t_start != 0) h.RecordSince(obs::Hist::kReadLatency, t_start);
+template <typename Op>
+Status Database::OnEngine(Txn* txn, const Op& op) {
+  Status s = txn->mv != nullptr ? op(*mv_, txn->mv) : op(*sv_, txn->sv);
   if (s.IsAborted()) ReleaseTxn(txn);
   return s;
+}
+
+template <typename Op>
+Status Database::TimedOnEngine(obs::Hist hist, Txn* txn, const Op& op) {
+  obs::LatencyHistograms& h = hists();
+  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
+  Status s = OnEngine(txn, op);
+  if (t_start != 0) h.RecordSince(hist, t_start);
+  return s;
+}
+
+Status Database::Read(Txn* txn, TableId table_id, IndexId index_id,
+                      uint64_t key, void* out) {
+  return TimedOnEngine(obs::Hist::kReadLatency, txn, [&](auto& e, auto* t) {
+    return e.Read(t, table_id, index_id, key, out);
+  });
 }
 
 Status Database::Scan(Txn* txn, TableId table_id, IndexId index_id,
                       uint64_t key,
                       const std::function<bool(const void*)>& residual,
                       const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s =
-      txn->mv != nullptr
-          ? mv_->Scan(txn->mv, table_id, index_id, key, residual, consumer)
-          : sv_->Scan(txn->sv, table_id, index_id, key, residual, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return TimedOnEngine(obs::Hist::kScanLatency, txn, [&](auto& e, auto* t) {
+    return e.Scan(t, table_id, index_id, key, residual, consumer);
+  });
 }
 
 Status Database::ScanRange(Txn* txn, TableId table_id, IndexId index_id,
                            uint64_t lo, uint64_t hi,
                            const std::function<bool(const void*)>& residual,
                            const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->ScanRange(txn->mv, table_id, index_id, lo, hi,
-                                  residual, consumer)
-                 : sv_->ScanRange(txn->sv, table_id, index_id, lo, hi,
-                                  residual, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return TimedOnEngine(obs::Hist::kScanLatency, txn, [&](auto& e, auto* t) {
+    return e.ScanRange(t, table_id, index_id, lo, hi, residual, consumer);
+  });
 }
 
 Status Database::ScanTable(Txn* txn, TableId table_id,
                            const std::function<bool(const void*)>& consumer) {
-  obs::LatencyHistograms& h = hists();
-  const uint64_t t_start = h.enabled() ? obs::NowTicks() : 0;
-  Status s = txn->mv != nullptr
-                 ? mv_->ScanTable(txn->mv, table_id, consumer)
-                 : sv_->ScanTable(txn->sv, table_id, consumer);
-  if (t_start != 0) h.RecordSince(obs::Hist::kScanLatency, t_start);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return TimedOnEngine(obs::Hist::kScanLatency, txn, [&](auto& e, auto* t) {
+    return e.ScanTable(t, table_id, consumer);
+  });
 }
 
 Status Database::Insert(Txn* txn, TableId table_id, const void* payload) {
@@ -230,10 +165,9 @@ Status Database::Insert(Txn* txn, TableId table_id, const void* payload) {
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s = txn->mv != nullptr ? mv_->Insert(txn->mv, table_id, payload)
-                                : sv_->Insert(txn->sv, table_id, payload);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return OnEngine(txn, [&](auto& e, auto* t) {
+    return e.Insert(t, table_id, payload);
+  });
 }
 
 Status Database::Update(Txn* txn, TableId table_id, IndexId index_id,
@@ -242,12 +176,9 @@ Status Database::Update(Txn* txn, TableId table_id, IndexId index_id,
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s =
-      txn->mv != nullptr
-          ? mv_->Update(txn->mv, table_id, index_id, key, mutator)
-          : sv_->Update(txn->sv, table_id, index_id, key, mutator);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return OnEngine(txn, [&](auto& e, auto* t) {
+    return e.Update(t, table_id, index_id, key, mutator);
+  });
 }
 
 Status Database::Delete(Txn* txn, TableId table_id, IndexId index_id,
@@ -255,11 +186,9 @@ Status Database::Delete(Txn* txn, TableId table_id, IndexId index_id,
   if (MVSTORE_UNLIKELY(!WriteAllowed(/*check_sink=*/false))) {
     return Status::ReadOnly();
   }
-  Status s = txn->mv != nullptr
-                 ? mv_->Delete(txn->mv, table_id, index_id, key)
-                 : sv_->Delete(txn->sv, table_id, index_id, key);
-  if (s.IsAborted()) ReleaseTxn(txn);
-  return s;
+  return OnEngine(txn, [&](auto& e, auto* t) {
+    return e.Delete(t, table_id, index_id, key);
+  });
 }
 
 Status Database::RunTransaction(IsolationLevel isolation,
@@ -288,14 +217,6 @@ Status Database::RunTransaction(IsolationLevel isolation,
     if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
     backoff = std::clamp(2 * backoff, microseconds{1}, microseconds{1000});
   }
-}
-
-StatsCollector& Database::stats() {
-  return mv_ != nullptr ? mv_->stats() : sv_->stats();
-}
-
-obs::LatencyHistograms& Database::hists() {
-  return mv_ != nullptr ? mv_->hists() : sv_->hists();
 }
 
 std::vector<std::pair<std::string, uint64_t>> Database::CounterSnapshot() {

@@ -29,77 +29,12 @@
 #include "common/port.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/substrate.h"
 #include "mem/object_pool.h"
 #include "storage/table.h"
 #include "sv/sv_engine.h"
 
 namespace mvstore {
-
-struct DatabaseOptions {
-  Scheme scheme = Scheme::kMultiVersionOptimistic;
-
-  /// Logging (paper configuration: asynchronous group commit).
-  LogMode log_mode = LogMode::kAsync;
-  /// Empty: in-memory byte-counting sink. Otherwise a file path (or, with
-  /// log_segment_bytes > 0, a rotating-segment prefix). Existing log data on
-  /// the path is preserved: sinks open in append mode, so a reopened
-  /// database continues the log rather than truncating history. Use
-  /// Database::Open (or RecoverDatabase) to replay that history first.
-  std::string log_path;
-  /// Durability of file-backed logs. Default (false): batches are flushed
-  /// with fflush only — they survive a process crash but NOT an OS crash or
-  /// power loss. Set true to fsync every flushed batch (real durability;
-  /// with LogMode::kSync, commit then waits on an fsync'd batch). Only
-  /// meaningful when log_path is set.
-  bool fsync_log = false;
-  /// > 0: segmented log — log_path is a prefix producing
-  /// `<log_path>.<seq>.seg` files rotated at this size, which is what lets a
-  /// completed checkpoint delete (truncate) covered segments. 0: log_path is
-  /// one append-only file; checkpoints still work but reclaim nothing.
-  uint64_t log_segment_bytes = 0;
-  /// Checkpoint file location used by Database::Checkpoint() and by
-  /// Database::Open() at recovery. Empty: no checkpointing; recovery is a
-  /// full-log replay.
-  std::string checkpoint_path;
-  /// Worker threads for log replay in Database::Open (the paper's "multiple
-  /// log streams" observation: records partition by primary key and replay
-  /// in end-timestamp order per key). 1 = serial replay.
-  uint32_t recovery_threads = 1;
-  /// Group-commit window in microseconds: once the log flusher sees a
-  /// pending commit record it waits this long so concurrent committers
-  /// coalesce into one flush (one fsync with fsync_log). Amortizes
-  /// device-bound commit latency across sessions at the cost of up to this
-  /// much added latency per commit. 0 (default) flushes as soon as the
-  /// flusher wakes. Counters: log_group_commits (batches flushed),
-  /// log_group_size_sum (records across those batches).
-  uint32_t group_commit_us = 0;
-
-  /// MV engines: see MVEngineOptions.
-  bool honor_locks = true;
-  uint32_t gc_interval_us = 2000;
-  uint32_t deadlock_interval_us = 1000;
-
-  /// 1V engine: lock-wait timeout (deadlock breaking).
-  uint64_t lock_timeout_us = 2000;
-
-  /// Memory subsystem (src/mem/): recycle version slots through per-table
-  /// slab allocators, and 1V transactions and Txn handles through pools,
-  /// integrated with epoch reclamation (MV transaction objects are always
-  /// pooled). Default on; turn off to route these through the global heap
-  /// (ASan-style debugging, leak triage). Sanitizer builds (TSan/ASan)
-  /// default off (common/port.h) -- recycling hides object lifetimes from
-  /// the tools; tests that target the slabs opt back in.
-  bool use_slab_allocator = !kSanitizerBuild;
-
-  /// Observability (src/obs/, docs/OBSERVABILITY.md). On: commit-pipeline
-  /// phases, txn lifetime, read/scan, GC, checkpoint and recovery latencies
-  /// are recorded into striped histograms, exposed through MetricsText /
-  /// the kMetrics wire opcode. Off: every Record() is one relaxed load.
-  bool enable_latency_histograms = true;
-  /// Commits slower than this (microseconds) emit one rate-limited
-  /// structured stderr line with the per-phase breakdown; 0 disables.
-  uint64_t slow_txn_us = 0;
-};
 
 /// Opaque transaction handle; owned by the Database between Begin and
 /// Commit/Abort. Recycled through a pool (mem/object_pool.h) when the slab
@@ -144,28 +79,36 @@ class Database {
       const std::function<void(Database&)>& define_schema,
       Status* status = nullptr, RecoveryReport* report = nullptr);
 
-  Scheme scheme() const { return options_.scheme; }
-  const DatabaseOptions& options() const { return options_; }
+  Scheme scheme() const { return options().scheme; }
+  const DatabaseOptions& options() const { return substrate_.options(); }
 
   /// Create a table; index 0 is the primary index.
   TableId CreateTable(TableDef def);
 
   /// Number of payload bytes per row of `table_id`.
-  uint32_t PayloadSize(TableId table_id);
+  uint32_t PayloadSize(TableId table_id) {
+    return substrate_.table(table_id).payload_size();
+  }
 
   /// Number of tables created so far.
-  uint32_t NumTables();
+  uint32_t NumTables() { return substrate_.catalog().num_tables(); }
 
   /// Number of indexes on `table_id` (valid index ids are 0..n-1). The
   /// service layer validates wire-supplied ids against this before
   /// touching the engine.
-  uint32_t NumIndexes(TableId table_id);
+  uint32_t NumIndexes(TableId table_id) {
+    return substrate_.table(table_id).num_indexes();
+  }
 
   /// Name a table was created with.
-  const std::string& TableName(TableId table_id);
+  const std::string& TableName(TableId table_id) {
+    return substrate_.table(table_id).name();
+  }
 
   /// Primary (index 0) key of a payload of `table_id`.
-  uint64_t PrimaryKeyOfPayload(TableId table_id, const void* payload);
+  uint64_t PrimaryKeyOfPayload(TableId table_id, const void* payload) {
+    return substrate_.table(table_id).IndexKeyOfPayload(0, payload);
+  }
 
   /// --- transactions ---------------------------------------------------------
 
@@ -212,9 +155,9 @@ class Database {
 
   /// --- durability -------------------------------------------------------------
 
-  /// The engine's group-commit logger (valid in every LogMode; inert when
+  /// The group-commit logger (valid in every LogMode; inert when
   /// kDisabled).
-  Logger& logger();
+  Logger& logger() { return substrate_.logger(); }
 
   /// Health of the log sink: OK, or Internal once an open/write failure has
   /// dropped bytes (also surfaced on stderr at construction). Commit turns a
@@ -244,11 +187,13 @@ class Database {
   Status Checkpoint();
 
   /// Largest commit timestamp any written log record can carry so far.
-  Timestamp LastCommitTimestamp();
+  Timestamp LastCommitTimestamp() { return substrate_.ts_gen().Current(); }
 
   /// Raise the commit clock to at least `floor` (recovery only; see
   /// TimestampGenerator::AdvanceTo).
-  void AdvanceCommitTimestamp(Timestamp floor);
+  void AdvanceCommitTimestamp(Timestamp floor) {
+    substrate_.ts_gen().AdvanceTo(floor);
+  }
 
   /// Serializes checkpoint passes against each other (Checkpointer::Take
   /// locks this): two interleaved writers on the same temp file would
@@ -301,11 +246,11 @@ class Database {
 
   /// --- introspection ----------------------------------------------------------
 
-  StatsCollector& stats();
+  StatsCollector& stats() { return substrate_.stats(); }
 
-  /// The engine's latency histograms (src/obs/histogram.h). Always valid;
-  /// inert when options.enable_latency_histograms is false.
-  obs::LatencyHistograms& hists();
+  /// The latency histograms (src/obs/histogram.h). Always valid; inert
+  /// when options.enable_latency_histograms is false.
+  obs::LatencyHistograms& hists() { return substrate_.hists(); }
 
   /// All engine counters, including zeros, as name/value pairs — one
   /// uniform shape for the server's STATS procedure to merge with its own
@@ -313,13 +258,24 @@ class Database {
   /// contract (docs/API.md), and sorted output lets scrapers diff two
   /// snapshots line-by-line.
   std::vector<std::pair<std::string, uint64_t>> CounterSnapshot();
-  /// MV engines only (nullptr under 1V): direct access for tests/benches.
+  /// What every scheme shares: catalog, clock, epochs, counters,
+  /// histograms and logger (core/substrate.h).
+  Substrate& substrate() { return substrate_; }
+  /// The engine running the scheme; the other one is nullptr. For the
+  /// scheme-specific parts (MV: GC, transaction table, deadlock detector).
   MVEngine* mv_engine() { return mv_.get(); }
   SVEngine* sv_engine() { return sv_.get(); }
 
  private:
   /// Release a finished handle back to the pool.
   void ReleaseTxn(Txn* txn) { txn_handle_pool_.Release(txn); }
+
+  /// Run `op(engine, handle)` on the engine that owns `txn`; a handle the
+  /// engine aborted is released. Timed: the span goes to `hist`.
+  template <typename Op>
+  Status OnEngine(Txn* txn, const Op& op);
+  template <typename Op>
+  Status TimedOnEngine(obs::Hist hist, Txn* txn, const Op& op);
 
   /// Gate for write operations: false once read-only (bumping the
   /// writes_refused counter), flipping the mode on first sight of a broken
@@ -329,7 +285,9 @@ class Database {
 
   std::atomic<bool> read_only_{false};
 
-  DatabaseOptions options_;
+  /// Before mv_/sv_: an engine's teardown (GC pass, transaction release,
+  /// epoch drain) runs while the catalog, counters and logger are alive.
+  Substrate substrate_;
   std::unique_ptr<MVEngine> mv_;
   std::unique_ptr<SVEngine> sv_;
   ObjectPool<Txn> txn_handle_pool_;

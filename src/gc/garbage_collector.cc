@@ -7,10 +7,14 @@ namespace mvstore {
 
 GarbageCollector::GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
                                    StatsCollector& stats,
+                                   const TimestampGenerator& clock,
+                                   obs::LatencyHistograms& hists,
                                    uint32_t interval_us)
     : txn_table_(txn_table),
       epoch_(epoch),
       stats_(stats),
+      clock_(clock),
+      hists_(hists),
       interval_us_(interval_us),
       slots_(kMaxThreads, [this](Slot& slot) { ReleaseSlot(slot); }) {}
 
@@ -159,8 +163,7 @@ uint64_t GarbageCollector::DrainOrphans(Timestamp watermark) {
 
 uint64_t GarbageCollector::RunOnce() {
   MutexLock lock(run_once_mutex_);
-  const uint64_t t_start =
-      (hists_ != nullptr && hists_->enabled()) ? obs::NowTicks() : 0;
+  const uint64_t t_start = hists_.enabled() ? obs::NowTicks() : 0;
   const Timestamp watermark = Watermark(Now());
   uint64_t total = 0;
   slots_.ForEach([&](Slot& slot) { total += DrainSlot(slot, watermark); });
@@ -173,7 +176,7 @@ uint64_t GarbageCollector::RunOnce() {
       std::this_thread::yield();
     }
   });
-  if (t_start != 0) hists_->RecordSince(obs::Hist::kGcPass, t_start);
+  if (t_start != 0) hists_.RecordSince(obs::Hist::kGcPass, t_start);
   return total;
 }
 

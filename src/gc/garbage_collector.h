@@ -41,6 +41,7 @@
 #include "obs/histogram.h"
 #include "storage/lock_word.h"
 #include "storage/table.h"
+#include "txn/timestamp.h"
 #include "txn/txn_table.h"
 #include "util/block_queue.h"
 #include "util/epoch.h"
@@ -54,8 +55,11 @@ class GarbageCollector {
   /// thread exit, overflow goes to the orphan list.
   static constexpr uint32_t kMaxThreads = 512;
 
+  /// `clock` supplies the watermark when no transaction is active;
+  /// `hists` takes each full pass's duration (gc_pass).
   GarbageCollector(TxnTable& txn_table, EpochManager& epoch,
-                   StatsCollector& stats, uint32_t interval_us);
+                   StatsCollector& stats, const TimestampGenerator& clock,
+                   obs::LatencyHistograms& hists, uint32_t interval_us);
 
   ~GarbageCollector() { Stop(); }
 
@@ -105,16 +109,6 @@ class GarbageCollector {
                                              seen_ts);
   }
 
-  /// Set the clock used for the watermark fallback (no active txns).
-  void SetNowSource(Timestamp (*now_fn)(void*), void* arg) {
-    now_fn_ = now_fn;
-    now_arg_ = arg;
-  }
-
-  /// Record full-pass durations into `hists` (gc_pass; may be null). Set
-  /// before Start(), unsynchronized otherwise.
-  void SetHistograms(obs::LatencyHistograms* hists) { hists_ = hists; }
-
  private:
   struct Item {
     Table* table;
@@ -141,9 +135,8 @@ class GarbageCollector {
     std::atomic<bool> draining{false};
   };
 
-  Timestamp Now() const {
-    return now_fn_ != nullptr ? now_fn_(now_arg_) : kInfinity;
-  }
+  /// Above every end timestamp drawn so far.
+  Timestamp Now() const { return clock_.Current() + 1; }
 
   /// Pops up to `max` items ready under `watermark` off the front of the
   /// slot's commit-ordered queue into `batch`, stopping at the first item
@@ -163,6 +156,8 @@ class GarbageCollector {
   TxnTable& txn_table_;
   EpochManager& epoch_;
   StatsCollector& stats_;
+  const TimestampGenerator& clock_;
+  obs::LatencyHistograms& hists_;
   const uint32_t interval_us_;
 
   Mutex run_once_mutex_;  // serializes full RunOnce passes
@@ -171,10 +166,6 @@ class GarbageCollector {
   /// order (many threads interleave), so RunOnce visits every item.
   mutable SpinLatch orphans_latch_;
   BlockQueue<Item> orphans_ GUARDED_BY(orphans_latch_);
-
-  Timestamp (*now_fn_)(void*) = nullptr;
-  void* now_arg_ = nullptr;
-  obs::LatencyHistograms* hists_ = nullptr;
 
   std::atomic<bool> running_{false};
   std::thread thread_;

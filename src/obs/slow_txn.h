@@ -1,8 +1,9 @@
 // Slow-transaction log: one structured line per over-threshold commit.
 //
-// When DatabaseOptions::slow_txn_us > 0, the commit path fills a stack
-// CommitTrace with the per-phase tick spans it already measured for the
-// histograms and calls MaybeLogSlowTxn() after the transaction terminates.
+// When DatabaseOptions::slow_txn_us > 0, the commit tracer
+// (Substrate::CommitTracer, core/substrate.h) fills a CommitTrace with the
+// per-phase tick spans it measured for the histograms and calls
+// LogSlowTxn() after the transaction terminates.
 // Over-threshold commits emit a single key=value line to stderr, e.g.:
 //
 //   mvstore slow_txn scheme=mv txn=42 total_us=12873 validate_us=11
@@ -36,8 +37,8 @@ struct CommitTrace {
 };
 
 /// Threshold in ticks for a slow_txn_us setting; 0 disables. Calibrates
-/// the tick clock (milliseconds, once) — call at engine construction, not
-/// on the commit path.
+/// the tick clock (milliseconds, once) — call at construction, not on the
+/// commit path.
 uint64_t SlowTxnThresholdTicks(uint64_t slow_txn_us);
 
 /// Emits `trace` if the rate limiter admits it; the caller has already

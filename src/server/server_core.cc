@@ -118,7 +118,7 @@ std::string ServerCore::MetricsText() {
                          static_cast<double>(mv->gc().PendingCount()));
     obs::AppendPromGauge(&out, "mvstore_live_transactions",
                          static_cast<double>(mv->txn_table().Size()));
-    const Timestamp now = mv->ts_gen().Current();
+    const Timestamp now = db_.LastCommitTimestamp();
     obs::AppendPromGauge(
         &out, "mvstore_snapshot_age_timestamps",
         static_cast<double>(now - mv->txn_table().MinActiveBeginTs(now)));

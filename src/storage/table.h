@@ -203,9 +203,8 @@ class Table {
 /// for the database lifetime, so lookups are unsynchronized.
 class Catalog {
  public:
-  /// Version-allocation policy for tables created after this call. Engines
-  /// configure this once at construction, before any CreateTable.
-  void ConfigureMemory(Table::MemoryOptions mem) { mem_ = mem; }
+  /// `mem`: the version-allocation policy of every table.
+  explicit Catalog(Table::MemoryOptions mem = {}) : mem_(mem) {}
 
   TableId CreateTable(TableDef def) {
     TableId id = static_cast<TableId>(tables_.size());
@@ -226,7 +225,7 @@ class Catalog {
 
  private:
   std::vector<std::unique_ptr<Table>> tables_;
-  Table::MemoryOptions mem_{};
+  const Table::MemoryOptions mem_;
 };
 
 }  // namespace mvstore

@@ -1,57 +1,17 @@
 #include "sv/sv_engine.h"
 
-#include <algorithm>
 #include <cstring>
-
-#include "log/log_record.h"
-#include "log/log_segment.h"
-#include "obs/slow_txn.h"
 
 namespace mvstore {
 
-SVEngine::SVEngine(SVEngineOptions options)
-    : options_(options),
-      hists_(options_.enable_latency_histograms),
-      slow_txn_ticks_(obs::SlowTxnThresholdTicks(options_.slow_txn_us)),
-      txn_pool_(options_.use_slab_allocator, &stats_) {
-  catalog_.ConfigureMemory(
-      Table::MemoryOptions{options_.use_slab_allocator, &stats_, &epoch_});
-  LogSink* sink = nullptr;
-  if (options_.log_mode != LogMode::kDisabled) {
-    if (options_.log_path.empty()) {
-      sink = new NullLogSink();
-    } else if (options_.log_segment_bytes > 0) {
-      sink = new SegmentedLogSink(
-          options_.log_path,
-          SegmentedLogSink::Options{options_.log_segment_bytes,
-                                    options_.fsync_log},
-          &stats_);
-    } else {
-      sink = new FileLogSink(options_.log_path, options_.fsync_log, &stats_);
-    }
-  }
-  logger_ = std::make_unique<Logger>(options_.log_mode, sink,
-                                     options_.group_commit_us, &stats_,
-                                     &hists_);
-}
-
-SVEngine::~SVEngine() {
-  epoch_.DrainAll();
-  for (uint32_t tid = 0; tid < catalog_.num_tables(); ++tid) {
-    Table& table = catalog_.table(tid);
-    if (table.num_indexes() == 0) continue;
-    std::vector<Version*> rows;
-    table.index(0).ScanAll([&](Version* v) {
-      rows.push_back(v);
-      return true;
-    });
-    for (Version* v : rows) table.FreeUnpublishedVersion(v);
-  }
-}
+SVEngine::SVEngine(Substrate& substrate, SVEngineOptions options)
+    : substrate_(substrate),
+      options_(options),
+      txn_pool_(substrate.options().use_slab_allocator, &substrate.stats()) {}
 
 TableId SVEngine::CreateTable(TableDef def) {
-  TableId id = catalog_.CreateTable(std::move(def));
-  Table& table = catalog_.table(id);
+  TableId id = substrate_.catalog().CreateTable(std::move(def));
+  Table& table = substrate_.table(id);
   lock_table_base_.push_back(static_cast<uint32_t>(lock_tables_.size()));
   for (uint32_t i = 0; i < table.num_indexes(); ++i) {
     // One lock per hash key: size the lock table like the index. Ordered
@@ -74,11 +34,8 @@ SVTransaction* SVEngine::Begin(IsolationLevel isolation, bool read_only) {
   }
   SVTransaction* txn = txn_pool_.Acquire(
       next_txn_id_.fetch_add(1, std::memory_order_relaxed), isolation);
-  // Sampled commit-pipeline tracing, same policy as the MV engine: the
-  // decision rides start_ticks; slow_txn_us forces every commit timed.
-  if (hists_.enabled() && (slow_txn_ticks_ != 0 || obs::SampleThisTxn())) {
-    txn->start_ticks = obs::NowTicks();
-  }
+  // Sampled commit-pipeline tracing: the decision rides start_ticks.
+  txn->start_ticks = substrate_.SampleStartTicks();
   return txn;
 }
 
@@ -93,7 +50,7 @@ Status SVEngine::AcquireLock(SVTransaction* txn, SVLockTable& locks,
       return Status::OK();
     }
     // Upgrade S -> X.
-    stats_.Add(Stat::kLockWaits);
+    substrate_.stats().Add(Stat::kLockWaits);
     if (!SVLockTable::AcquireExclusive(lock, txn->id, /*held_shared=*/true,
                                        options_.lock_timeout_us)) {
       // Our shared slot was consumed by the failed upgrade; drop the entry
@@ -202,7 +159,7 @@ Status SVEngine::Read(SVTransaction* txn, TableId table_id, IndexId index_id,
     void* out;
     uint32_t size;
     bool found;
-  } target{out, catalog_.table(table_id).payload_size(), false};
+  } target{out, substrate_.table(table_id).payload_size(), false};
   Status s = Scan(txn, table_id, index_id, key, nullptr,
                   [t = &target](const void* payload) {
                     std::memcpy(t->out, payload, t->size);
@@ -217,7 +174,7 @@ Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
                       uint64_t key,
                       const std::function<bool(const void*)>& residual,
                       const std::function<bool(const void*)>& consumer) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   if (table.ordered_index(index_id) != nullptr) {
     // Equality probe on the ordered access path: a degenerate range (the
     // range machinery supplies the phantom coverage a hash-key lock would).
@@ -242,7 +199,7 @@ Status SVEngine::Scan(SVTransaction* txn, TableId table_id, IndexId index_id,
   }
 
   {
-    EpochGuard guard(epoch_);
+    EpochGuard guard(substrate_.epoch());
     index.ScanBucket(key, [&](Version* v) {
       if (index.KeyOf(v) != key) return true;
       if (residual && !residual(v->Payload())) return true;
@@ -258,7 +215,7 @@ Status SVEngine::ScanRange(SVTransaction* txn, TableId table_id,
                            IndexId index_id, uint64_t lo, uint64_t hi,
                            const std::function<bool(const void*)>& residual,
                            const std::function<bool(const void*)>& consumer) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   OrderedIndex* index = table.ordered_index(index_id);
   if (index == nullptr) return Status::InvalidArgument();
   SVLockTable& key_locks = *lock_tables_[lock_table_base_[table_id] + index_id];
@@ -276,7 +233,7 @@ Status SVEngine::ScanRange(SVTransaction* txn, TableId table_id,
         SVTransaction::RangeLockHold{&ranges, lo, hi, /*point=*/false});
   }
 
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   Status result = Status::OK();
   index->ScanRange(lo, hi, [&](Version* v) {
     // Rows are read under their ordered-key hash lock (short under Read
@@ -299,9 +256,9 @@ Status SVEngine::ScanRange(SVTransaction* txn, TableId table_id,
 
 Status SVEngine::ScanTable(SVTransaction* txn, TableId table_id,
                            const std::function<bool(const void*)>& consumer) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id]];
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   Status result = Status::OK();
   table.index(0).ScanAll([&](Version* v) {
     // Cursor stability only: each row's lock is released after the read
@@ -323,7 +280,7 @@ Status SVEngine::ScanTable(SVTransaction* txn, TableId table_id,
 
 Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
                         const void* payload) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   HashIndex& primary = table.index(0);
   SVLockTable& primary_locks = *lock_tables_[lock_table_base_[table_id]];
   const uint64_t key = primary.KeyOfPayload(payload);
@@ -331,7 +288,7 @@ Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
   Status s = AcquireLock(txn, primary_locks, key, /*exclusive=*/true, nullptr);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   if (table.index_def(0).unique &&
       FindRow(table, 0, key, nullptr) != nullptr) {
     return Status::AlreadyExists();  // lock stays held (2PL)
@@ -363,13 +320,13 @@ Status SVEngine::Insert(SVTransaction* txn, TableId table_id,
 
 Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
                         uint64_t key, const std::function<void(void*)>& mutator) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
   Status s = AcquireLock(txn, locks, key, /*exclusive=*/true, nullptr);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   Version* row = FindRow(table, index_id, key, nullptr);
   if (row == nullptr) return Status::NotFound();
 
@@ -407,13 +364,13 @@ Status SVEngine::Update(SVTransaction* txn, TableId table_id, IndexId index_id,
 
 Status SVEngine::Delete(SVTransaction* txn, TableId table_id, IndexId index_id,
                         uint64_t key) {
-  Table& table = catalog_.table(table_id);
+  Table& table = substrate_.table(table_id);
   SVLockTable& locks = *lock_tables_[lock_table_base_[table_id] + index_id];
 
   Status s = AcquireLock(txn, locks, key, /*exclusive=*/true, nullptr);
   if (!s.ok()) return DoAbort(txn, s.abort_reason());
 
-  EpochGuard guard(epoch_);
+  EpochGuard guard(substrate_.epoch());
   Version* row = FindRow(table, index_id, key, nullptr);
   if (row == nullptr) return Status::NotFound();
 
@@ -455,80 +412,46 @@ void SVEngine::ReleaseAllLocks(SVTransaction* txn) {
   txn->range_locks.clear();
 }
 
-void SVEngine::WriteLog(SVTransaction* txn) {
-  if (logger_->mode() == LogMode::kDisabled || txn->undo.empty()) return;
-  if (logger_->replay_paused()) return;  // recovery: record already on disk
-  thread_local std::vector<uint8_t> buffer;
-  buffer.clear();
-  LogRecordBuilder builder(buffer);
-  builder.BeginRecord(ts_gen_.Next(), txn->id);
-  for (const auto& u : txn->undo) {
-    switch (u.op) {
-      case SVTransaction::UndoOp::kInsert:
-        builder.AddInsert(u.table->id(), u.row->Payload(),
-                          u.table->payload_size());
-        break;
-      case SVTransaction::UndoOp::kUpdate:
-        builder.AddUpdate(u.table->id(), u.table->index(0).KeyOf(u.row),
-                          u.before.data(), u.row->Payload(),
-                          u.table->payload_size());
-        break;
-      case SVTransaction::UndoOp::kDelete:
-        builder.AddDelete(u.table->id(), u.table->index(0).KeyOf(u.row));
-        break;
-    }
-  }
-  builder.EndRecord();
-  logger_->Append(buffer);
+bool SVEngine::WriteLog(SVTransaction* txn) {
+  return substrate_.WriteLog(
+      txn->id, Substrate::kDrawFromClock, !txn->undo.empty(),
+      [txn](LogRecordBuilder& builder) {
+        for (const auto& u : txn->undo) {
+          switch (u.op) {
+            case SVTransaction::UndoOp::kInsert:
+              builder.AddInsert(u.table->id(), u.row->Payload(),
+                                u.table->payload_size());
+              break;
+            case SVTransaction::UndoOp::kUpdate:
+              builder.AddUpdate(u.table->id(), u.table->index(0).KeyOf(u.row),
+                                u.before.data(), u.row->Payload(),
+                                u.table->payload_size());
+              break;
+            case SVTransaction::UndoOp::kDelete:
+              builder.AddDelete(u.table->id(), u.table->index(0).KeyOf(u.row));
+              break;
+          }
+        }
+      });
 }
 
 Status SVEngine::Commit(SVTransaction* txn) {
-  // Phase timing (docs/OBSERVABILITY.md): 1V has no validation phase, so
-  // commit_total decomposes into log append + group wait + release.
-  const bool timed = slow_txn_ticks_ != 0 ||
-                     (txn->start_ticks != 0 && hists_.enabled());
-  const uint64_t t_enter = timed ? obs::NowTicks() : 0;
-  WriteLog(txn);
-  const uint64_t group_wait_ticks =
-      (timed && !txn->undo.empty() &&
-       logger_->mode() != LogMode::kDisabled && !logger_->replay_paused())
-          ? Logger::LastGroupWaitTicks()
-          : 0;
-  const uint64_t t_logged = timed ? obs::NowTicks() : 0;
+  // 1V has no validation phase: commit_total decomposes into log append +
+  // group wait + release.
+  Substrate::CommitTracer trace(substrate_, txn->id, txn->start_ticks,
+                                txn->undo.size());
+  trace.Logged(WriteLog(txn));
   // Deleted rows become unreachable only now; concurrent scans of other keys
   // may still traverse them, so retire through the epoch manager.
   for (const auto& u : txn->undo) {
     if (u.op == SVTransaction::UndoOp::kDelete) {
-      epoch_.Retire(u.row, &Table::VersionDeleter, u.table);
+      substrate_.epoch().Retire(u.row, &Table::VersionDeleter, u.table);
     }
   }
   ReleaseAllLocks(txn);
-  stats_.Add(Stat::kTxnCommitted);
-  const uint64_t writes = txn->undo.size();
-  const TxnId txn_id = txn->id;
-  const uint64_t start_ticks = txn->start_ticks;
+  substrate_.stats().Add(Stat::kTxnCommitted);
   txn_pool_.Release(txn);
-  if (timed) {
-    const uint64_t t_done = obs::NowTicks();
-    const uint64_t total = t_done - t_enter;
-    const uint64_t log_span = t_logged - t_enter;
-    hists_.Record(obs::Hist::kCommitTotal, total);
-    hists_.Record(obs::Hist::kCommitLogAppend,
-                  log_span - std::min(log_span, group_wait_ticks));
-    if (start_ticks != 0) {
-      hists_.Record(obs::Hist::kTxnLifetime, t_done - start_ticks);
-    }
-    if (slow_txn_ticks_ != 0 && total >= slow_txn_ticks_) {
-      obs::CommitTrace trace;
-      trace.scheme = "sv";
-      trace.txn_id = txn_id;
-      trace.total_ticks = total;
-      trace.log_append_ticks = log_span - std::min(log_span, group_wait_ticks);
-      trace.group_wait_ticks = group_wait_ticks;
-      trace.writes = writes;
-      obs::LogSlowTxn(trace, &stats_);
-    }
-  }
+  trace.Finish();
   return Status::OK();
 }
 
@@ -538,7 +461,7 @@ Status SVEngine::DoAbort(SVTransaction* txn, AbortReason reason) {
     switch (it->op) {
       case SVTransaction::UndoOp::kInsert:
         it->table->UnlinkFromAllIndexes(it->row);
-        epoch_.Retire(it->row, &Table::VersionDeleter, it->table);
+        substrate_.epoch().Retire(it->row, &Table::VersionDeleter, it->table);
         break;
       case SVTransaction::UndoOp::kUpdate:
         std::memcpy(it->row->Payload(), it->before.data(),
@@ -550,9 +473,9 @@ Status SVEngine::DoAbort(SVTransaction* txn, AbortReason reason) {
     }
   }
   ReleaseAllLocks(txn);
-  stats_.Add(Stat::kTxnAborted);
+  substrate_.stats().Add(Stat::kTxnAborted);
   if (reason == AbortReason::kLockTimeout || reason == AbortReason::kDeadlock) {
-    stats_.Add(Stat::kAbortDeadlock);
+    substrate_.stats().Add(Stat::kAbortDeadlock);
   }
   txn_pool_.Release(txn);
   return Status::Aborted(reason);

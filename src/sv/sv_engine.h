@@ -33,42 +33,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/counters.h"
+#include "common/port.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "log/logger.h"
+#include "core/substrate.h"
 #include "mem/object_pool.h"
-#include "obs/histogram.h"
 #include "storage/table.h"
 #include "sv/lock_table.h"
-#include "txn/timestamp.h"
-#include "util/epoch.h"
 
 namespace mvstore {
 
+/// The 1V-only knob; the shared ones (logging, memory, observability)
+/// live in the Substrate's DatabaseOptions.
 struct SVEngineOptions {
   /// Lock-wait timeout; expiry aborts the waiter (probable deadlock).
   uint64_t lock_timeout_us = 2000;
-  LogMode log_mode = LogMode::kAsync;
-  std::string log_path;
-  /// fsync each flushed batch (see DatabaseOptions::fsync_log).
-  bool fsync_log = false;
-  /// > 0: rotating-segment log at this size; 0: one append-only file
-  /// (see MVEngineOptions::log_segment_bytes).
-  uint64_t log_segment_bytes = 0;
-  /// Group-commit window (see Logger); 0 = flush as soon as possible.
-  uint32_t group_commit_us = 0;
-  /// Recycle row slots through per-table slabs and transaction objects
-  /// through a pool (mem/); off = plain heap (debug fallback).
-  bool use_slab_allocator = true;
-
-  /// Record commit-pipeline phase latencies into obs/ histograms
-  /// (docs/OBSERVABILITY.md). Off = Record() is a single relaxed load.
-  bool enable_latency_histograms = true;
-
-  /// Commits slower than this emit one rate-limited slow-txn log line with
-  /// the per-phase breakdown (obs/slow_txn.h); 0 disables.
-  uint64_t slow_txn_us = 0;
 };
 
 /// Single-version transaction handle.
@@ -152,15 +131,15 @@ class SVTransaction {
 
 class SVEngine {
  public:
-  explicit SVEngine(SVEngineOptions options = {});
-  ~SVEngine();
+  /// `substrate` (core/substrate.h) must outlive the engine. Row slots
+  /// come from its catalog's slabs and transaction handles from a pool
+  /// when use_slab_allocator is on; off = plain heap (debug fallback).
+  explicit SVEngine(Substrate& substrate, SVEngineOptions options = {});
 
   SVEngine(const SVEngine&) = delete;
   SVEngine& operator=(const SVEngine&) = delete;
 
   TableId CreateTable(TableDef def);
-  Table& table(TableId id) { return catalog_.table(id); }
-  Catalog& catalog() { return catalog_; }
 
   SVTransaction* Begin(IsolationLevel isolation, bool read_only = false);
 
@@ -194,16 +173,6 @@ class SVEngine {
 
   Status Commit(SVTransaction* txn);
   void Abort(SVTransaction* txn);
-
-  StatsCollector& stats() { return stats_; }
-  obs::LatencyHistograms& hists() { return hists_; }
-  EpochManager& epoch() { return epoch_; }
-  Logger& logger() { return *logger_; }
-  const SVEngineOptions& options() const { return options_; }
-
-  /// The commit clock: each logged commit draws its record's timestamp
-  /// from it (recovery and checkpoints read and advance it).
-  TimestampGenerator& ts_gen() { return ts_gen_; }
 
  private:
   /// Acquire (or convert to) the requested mode on the key's lock,
@@ -239,28 +208,22 @@ class SVEngine {
                         bool* keep_going);
 
   void ReleaseAllLocks(SVTransaction* txn);
-  void WriteLog(SVTransaction* txn);
+  /// Append the commit record, timestamped from the clock; true when one
+  /// was appended.
+  bool WriteLog(SVTransaction* txn);
   Status DoAbort(SVTransaction* txn, AbortReason reason);
 
+  Substrate& substrate_;
   SVEngineOptions options_;
-  /// stats_ precedes catalog_ and txn_pool_: table slabs and the pool count
-  /// into it until they die. hists_ keeps the same position
-  /// for the same reason (the logger records group waits until it dies).
-  StatsCollector stats_;
-  obs::LatencyHistograms hists_;
-  /// Precomputed SlowTxnThresholdTicks(options_.slow_txn_us); 0 = disabled.
-  uint64_t slow_txn_ticks_ = 0;
-  Catalog catalog_;
   ObjectPool<SVTransaction> txn_pool_;
   std::vector<std::unique_ptr<SVLockTable>> lock_tables_;  // [table][index]
   /// Parallel to lock_tables_: a RangeLockManager per ordered index
   /// (nullptr for hash slots).
   std::vector<std::unique_ptr<RangeLockManager>> range_locks_;
   std::vector<uint32_t> lock_table_base_;  // table id -> first lock table
-  EpochManager epoch_;
-  std::unique_ptr<Logger> logger_;
-  std::atomic<TxnId> next_txn_id_{1};
-  TimestampGenerator ts_gen_;
+  /// Drawn by every Begin: on its own cache line, away from the lock-table
+  /// vectors every operation reads.
+  alignas(kCacheLineSize) std::atomic<TxnId> next_txn_id_{1};
 };
 
 }  // namespace mvstore

@@ -11,6 +11,7 @@
 // MVSTORE_CHAOS_ITERS=23 yields 23 x 3 cycles x 3 schemes = 207 seeded
 // kill-at-a-random-failpoint iterations per run.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -39,7 +40,8 @@ TEST_P(ChaosRecoveryTest, AcknowledgedCommitsSurviveRandomCrashes) {
   const uint32_t drills = DrillsPerScheme();
   const std::string base =
       (std::filesystem::temp_directory_path() /
-       ("mvstore_chaos_" + std::string(SchemeName(scheme))))
+       ("mvstore_chaos_" + std::string(SchemeName(scheme)) + "_" +
+        std::to_string(::getpid())))
           .string();
 
   uint32_t total_crashes = 0;
@@ -85,7 +87,8 @@ TEST_P(ChaosRecoveryTest, AcknowledgedCommitsSurviveLeaderKills) {
   const uint32_t drills = (DrillsPerScheme() + 2) / 3;
   const std::string base =
       (std::filesystem::temp_directory_path() /
-       ("mvstore_chaos_repl_" + std::string(SchemeName(scheme))))
+       ("mvstore_chaos_repl_" + std::string(SchemeName(scheme)) + "_" +
+        std::to_string(::getpid())))
           .string();
 
   uint32_t total_crashes = 0;

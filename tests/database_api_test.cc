@@ -170,10 +170,12 @@ INSTANTIATE_TEST_SUITE_P(MultiVersion, RunTransactionLockHolderTest,
 /// Coexistence stress (Section 4.5): optimistic and pessimistic
 /// transactions mixed on the same MV engine preserve the bank invariant.
 TEST(CoexistenceTest, MixedSchemesPreserveInvariant) {
+  DatabaseOptions db_opts;
+  db_opts.log_mode = LogMode::kDisabled;
+  Substrate substrate(db_opts);
   MVEngineOptions opts;
-  opts.log_mode = LogMode::kDisabled;
   opts.deadlock_interval_us = 500;
-  MVEngine engine(opts);
+  MVEngine engine(substrate, opts);
   TableDef def;
   def.name = "accounts";
   def.payload_size = sizeof(Row);
@@ -233,10 +235,12 @@ TEST(CoexistenceTest, MixedSchemesPreserveInvariant) {
 
 /// The GC keeps version chains bounded through sustained mixed churn.
 TEST(CoexistenceTest, VersionChainsStayBounded) {
+  DatabaseOptions db_opts;
+  db_opts.log_mode = LogMode::kDisabled;
+  Substrate substrate(db_opts);
   MVEngineOptions opts;
-  opts.log_mode = LogMode::kDisabled;
   opts.gc_interval_us = 500;
-  MVEngine engine(opts);
+  MVEngine engine(substrate, opts);
   TableDef def;
   def.name = "hot";
   def.payload_size = sizeof(Row);
@@ -260,7 +264,7 @@ TEST(CoexistenceTest, VersionChainsStayBounded) {
     }
   }
   engine.gc().RunOnce();
-  EXPECT_LE(engine.table(table).index(0).CountEntries(), 2u);
+  EXPECT_LE(substrate.table(table).index(0).CountEntries(), 2u);
 }
 
 }  // namespace

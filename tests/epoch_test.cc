@@ -187,9 +187,13 @@ struct GcRow {
 
 struct GcOwner {
   static constexpr uint32_t kCapacity = GarbageCollector::kMaxThreads;
+  static DatabaseOptions SubstrateOptions() {
+    DatabaseOptions opts;
+    opts.log_mode = LogMode::kDisabled;
+    return opts;
+  }
   static MVEngineOptions Options() {
     MVEngineOptions opts;
-    opts.log_mode = LogMode::kDisabled;
     opts.gc_interval_us = 0;
     opts.deadlock_interval_us = 0;
     opts.cooperative_gc_budget = 0;  // every queue outlives its thread
@@ -221,7 +225,7 @@ struct GcOwner {
     EXPECT_EQ(engine.gc().PendingCount(), kChurn);
     EXPECT_EQ(engine.gc().RunOnce(), kChurn);
     EXPECT_EQ(engine.gc().PendingCount(), 0u);
-    EXPECT_EQ(engine.stats().Get(Stat::kVersionsCollected), kChurn);
+    EXPECT_EQ(substrate.stats().Get(Stat::kVersionsCollected), kChurn);
     Transaction* t = engine.Begin(IsolationLevel::kReadCommitted, false);
     GcRow row{};
     EXPECT_TRUE(engine.Read(t, table, 0, 1, &row).ok());
@@ -229,7 +233,8 @@ struct GcOwner {
     EXPECT_EQ(row.value, kChurn);
   }
 
-  MVEngine engine{Options()};
+  Substrate substrate{SubstrateOptions()};
+  MVEngine engine{substrate, Options()};
   TableId table = 0;
 };
 

@@ -382,7 +382,8 @@ TEST_P(FailoverDrillTest, PromotedFollowerHoldsEveryAckedCommit) {
   const uint32_t iters = ItersPerScheme();
   const std::string base =
       (std::filesystem::temp_directory_path() /
-       ("mvstore_failover_" + std::string(SchemeName(scheme))))
+       ("mvstore_failover_" + std::string(SchemeName(scheme)) + "_" +
+        std::to_string(::getpid())))
           .string();
 
   uint32_t crashes = 0;

@@ -27,12 +27,14 @@ class GcTest : public ::testing::Test {
   /// with budget 0 no inline draining either.
   void MakeEngine(uint32_t cooperative_gc_budget) {
     engine_.reset();
+    DatabaseOptions db_opts;
+    db_opts.log_mode = LogMode::kDisabled;
+    substrate_ = std::make_unique<Substrate>(db_opts);
     MVEngineOptions opts;
-    opts.log_mode = LogMode::kDisabled;
     opts.gc_interval_us = 0;
     opts.deadlock_interval_us = 0;
     opts.cooperative_gc_budget = cooperative_gc_budget;
-    engine_ = std::make_unique<MVEngine>(opts);
+    engine_ = std::make_unique<MVEngine>(*substrate_, opts);
     TableDef def;
     def.name = "rows";
     def.payload_size = sizeof(Row);
@@ -65,13 +67,15 @@ class GcTest : public ::testing::Test {
 
   uint64_t ChainLength(uint64_t key) {
     uint64_t n = 0;
-    engine_->table(table_).index(0).ScanBucket(key, [&](Version* v) {
-      if (engine_->table(table_).index(0).KeyOf(v) == key) ++n;
+    HashIndex& index = substrate_->table(table_).index(0);
+    index.ScanBucket(key, [&](Version* v) {
+      if (index.KeyOf(v) == key) ++n;
       return true;
     });
     return n;
   }
 
+  std::unique_ptr<Substrate> substrate_;  // outlives engine_
   std::unique_ptr<MVEngine> engine_;
   TableId table_ = 0;
 };
@@ -85,7 +89,7 @@ TEST_F(GcTest, SupersededVersionsCollected) {
   engine_->gc().RunOnce();  // no active txns: watermark passes everything
   EXPECT_EQ(ChainLength(1), 1u);
   EXPECT_EQ(engine_->gc().PendingCount(), 0u);
-  EXPECT_EQ(engine_->stats().Get(Stat::kVersionsCollected), 10u);
+  EXPECT_EQ(substrate_->stats().Get(Stat::kVersionsCollected), 10u);
 
   // The surviving version is the latest.
   Transaction* t = engine_->Begin(IsolationLevel::kReadCommitted, false);
@@ -193,7 +197,7 @@ TEST_F(GcTest, ExitedThreadQueueIsOrphanedThenReclaimed) {
   EXPECT_EQ(engine_->gc().RunOnce(), 10u);
   EXPECT_EQ(engine_->gc().PendingCount(), 0u);
   EXPECT_EQ(ChainLength(1), 1u);
-  EXPECT_EQ(engine_->stats().Get(Stat::kVersionsCollected), 10u);
+  EXPECT_EQ(substrate_->stats().Get(Stat::kVersionsCollected), 10u);
   EXPECT_EQ(ReadValue(1), 10u);
 }
 

@@ -8,26 +8,37 @@
 // *but* the commit pipeline, so the per-commit instrumentation cost is
 // maximal relative to useful work.
 //
-// Methodology mirrors scalability_smoke_test: histograms-on and
-// histograms-off points are measured in alternation and compared by median,
-// so a box-level slow phase lands on both sides. The margin is the 3%
-// budget plus a noise allowance on dedicated boxes, and a much looser
-// catastrophic-only check on small/oversubscribed ones (where timeslicing
-// jitter alone exceeds 3%).
+// Methodology: one database, whose histograms are switched on and off
+// (LatencyHistograms::SetEnabled) between many short slices of the same
+// worker threads' loop, each pair of slices starting with the other side
+// than the pair before; the guard compares the median of the per-pair
+// on/off ratios. Two databases would differ in memory layout, which moves
+// this loop by more than the budget; one database and fine slicing mean a
+// box-level slow phase moves one ratio, not a whole side of the
+// comparison. The margin is the 3% budget plus a noise allowance on
+// dedicated boxes, and a much looser catastrophic-only check on
+// small/oversubscribed ones (where timeslicing jitter alone exceeds 3%).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "bench/harness.h"
 
 namespace mvstore {
 namespace {
 
-constexpr double kSecondsPerPoint = 0.5;
-constexpr int kRepeats = 5;
+constexpr double kSecondsPerSlice = 0.1;
+constexpr int kPairs = 24;
+/// Leading pairs not counted: thread slots, pools and the tick calibration
+/// warm up on both databases.
+constexpr int kWarmupPairs = 2;
 /// 3% budget + 4% box-noise allowance: a real regression that doubles the
 /// per-commit instrumentation cost blows far past this; run-to-run noise
 /// on a dedicated >= 4-thread box stays within it.
@@ -35,21 +46,52 @@ constexpr double kMargin = 0.93;
 /// Shared-core boxes only smoke-check for a catastrophic slowdown.
 constexpr double kSharedCoreMargin = 0.75;
 
-double EmptyCommitTps(Database& db, uint32_t threads) {
-  bench::RunResult r = bench::RunFixedDuration(
-      threads, kSecondsPerPoint,
-      [&](uint32_t, std::atomic<bool>& stop,
-          bench::WorkerCounters& counters) {
-        while (!stop.load(std::memory_order_relaxed)) {
+/// Commits per pair of slices, [pair][on = 0, off = 1]: `threads` workers
+/// run the empty Begin/Commit loop on `db` for kWarmupPairs + kPairs pairs
+/// of slices while this thread switches the histograms at every slice
+/// boundary, pair p running side p % 2 first. Each worker attributes its
+/// commits to the slice the clock is in, read every 64 transactions.
+/// Warm-up pairs are dropped.
+std::vector<std::array<uint64_t, 2>> RunAlternatingSlices(Database& db,
+                                                          uint32_t threads) {
+  using Clock = std::chrono::steady_clock;
+  const int total_slices = 2 * (kWarmupPairs + kPairs);
+  const auto slice = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(kSecondsPerSlice));
+  auto side_of = [](int k) { return (k + k / 2) % 2; };  // 0 = on
+  std::vector<std::array<uint64_t, 2>> commits(kWarmupPairs + kPairs,
+                                               {0, 0});
+  std::mutex mu;
+  std::atomic<bool> go{false};
+  db.hists().SetEnabled(side_of(0) == 0);
+  const Clock::time_point start = Clock::now() + std::chrono::milliseconds(20);
+  std::vector<std::thread> workers;
+  for (uint32_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      std::vector<uint64_t> mine(total_slices, 0);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int k = 0; k < total_slices;) {
+        for (int i = 0; i < 64; ++i) {
           Txn* txn = db.Begin(IsolationLevel::kReadCommitted);
-          if (db.Commit(txn).ok()) {
-            ++counters.committed;
-          } else {
-            ++counters.aborted;
-          }
+          mine[k] += db.Commit(txn).ok();
         }
-      });
-  return r.tps();
+        k = static_cast<int>((Clock::now() - start) / slice);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      for (int k = 0; k < total_slices; ++k) {
+        commits[k / 2][side_of(k)] += mine[k];
+      }
+    });
+  }
+  std::this_thread::sleep_until(start);
+  go.store(true, std::memory_order_release);
+  for (int k = 1; k < total_slices; ++k) {
+    std::this_thread::sleep_until(start + k * slice);
+    db.hists().SetEnabled(side_of(k) == 0);
+  }
+  for (auto& worker : workers) worker.join();
+  commits.erase(commits.begin(), commits.begin() + kWarmupPairs);
+  return commits;
 }
 
 TEST(HistogramOverheadTest, UnderThreePercentOnEmptyCommitLoop) {
@@ -61,37 +103,44 @@ TEST(HistogramOverheadTest, UnderThreePercentOnEmptyCommitLoop) {
   const uint32_t threads = 2;
 
   bench::Flags flags(0, nullptr);
-  DatabaseOptions on_opts =
+  DatabaseOptions opts =
       bench::MakeOptions(Scheme::kMultiVersionOptimistic, flags);
-  on_opts.enable_latency_histograms = true;
-  DatabaseOptions off_opts = on_opts;
-  off_opts.enable_latency_histograms = false;
-  Database db_on(on_opts);
-  Database db_off(off_opts);
+  opts.enable_latency_histograms = true;
+  Database db(opts);
 
-  // Warm both engines (thread slots, txn pools, the calibration spin).
-  (void)EmptyCommitTps(db_on, threads);
-  (void)EmptyCommitTps(db_off, threads);
-
-  double runs_on[kRepeats], runs_off[kRepeats];
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    runs_on[rep] = EmptyCommitTps(db_on, threads);
-    runs_off[rep] = EmptyCommitTps(db_off, threads);
+  const std::vector<std::array<uint64_t, 2>> commits =
+      RunAlternatingSlices(db, threads);
+  double ratios[kPairs], runs_on[kPairs], runs_off[kPairs];
+  for (int pair = 0; pair < kPairs; ++pair) {
+    runs_on[pair] = commits[pair][0] / kSecondsPerSlice;
+    runs_off[pair] = commits[pair][1] / kSecondsPerSlice;
+    ratios[pair] = runs_on[pair] / runs_off[pair];
   }
-  std::sort(runs_on, runs_on + kRepeats);
-  std::sort(runs_off, runs_off + kRepeats);
-  const double tps_on = runs_on[kRepeats / 2];
-  const double tps_off = runs_off[kRepeats / 2];
+  std::sort(ratios, ratios + kPairs);
+  std::sort(runs_on, runs_on + kPairs);
+  std::sort(runs_off, runs_off + kPairs);
+  const double ratio = (ratios[kPairs / 2 - 1] + ratios[kPairs / 2]) / 2;
+  const double tps_on = runs_on[kPairs / 2];
+  const double tps_off = runs_off[kPairs / 2];
   testing::Test::RecordProperty("tps_hists_on", static_cast<int64_t>(tps_on));
   testing::Test::RecordProperty("tps_hists_off",
                                 static_cast<int64_t>(tps_off));
-  // The instrumented engine actually recorded: the guard must not pass
-  // because histograms silently turned themselves off.
-  EXPECT_GT(db_on.hists().Snapshot(obs::Hist::kCommitTotal).count, 0u);
-  EXPECT_EQ(db_off.hists().Snapshot(obs::Hist::kCommitTotal).count, 0u);
-  EXPECT_GE(tps_on, margin * tps_off)
-      << "latency histograms cost more than the overhead budget: "
-      << tps_off << " tps with histograms off vs " << tps_on << " with on";
+  testing::Test::RecordProperty("on_off_ratio_permille",
+                                static_cast<int64_t>(ratio * 1000));
+  // The on slices recorded and the off slices did not: the guard must not
+  // pass because histograms silently stayed off, or never turned off.
+  db.hists().SetEnabled(false);
+  const uint64_t recorded = db.hists().Snapshot(obs::Hist::kCommitTotal).count;
+  EXPECT_GT(recorded, 0u);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(db.Commit(db.Begin(IsolationLevel::kReadCommitted)).ok());
+  }
+  EXPECT_EQ(db.hists().Snapshot(obs::Hist::kCommitTotal).count, recorded);
+  EXPECT_GE(ratio, margin)
+      << "latency histograms cost more than the overhead budget: median "
+         "on/off ratio "
+      << ratio << " over " << kPairs << " pairs (median tps " << tps_off
+      << " off, " << tps_on << " on)";
 }
 
 }  // namespace

@@ -283,9 +283,10 @@ TEST(LoggerTest, EngineCommitsProduceRecords) {
     uint64_t key;
     uint64_t value;
   };
-  MVEngineOptions opts;
+  DatabaseOptions opts;
   opts.log_mode = LogMode::kAsync;
-  MVEngine engine(opts);
+  Substrate substrate(opts);
+  MVEngine engine(substrate);
   TableDef def;
   def.name = "rows";
   def.payload_size = sizeof(Row);
@@ -314,8 +315,8 @@ TEST(LoggerTest, EngineCommitsProduceRecords) {
   ASSERT_TRUE(engine.Read(t4, table, 0, 1, &row).IsNotFound() == false);
   ASSERT_TRUE(engine.Commit(t4).ok());
 
-  engine.logger().FlushAll();
-  EXPECT_EQ(engine.logger().records_appended(), 2u);
+  substrate.logger().FlushAll();
+  EXPECT_EQ(substrate.logger().records_appended(), 2u);
 }
 
 /// ENOSPC in the middle of a group-commit window (injected at the sink's

@@ -66,9 +66,14 @@ std::map<std::string, double> ParseExposition(const std::string& text) {
   return out;
 }
 
-TEST(MetricsTest, LoopbackRoundTripMatchesWork) {
+/// The commit tracer is shared by every scheme (core/substrate.h), so the
+/// round trip runs under each.
+class MetricsSchemeTest : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(MetricsSchemeTest, LoopbackRoundTripMatchesWork) {
+  const Scheme scheme = GetParam();
   DatabaseOptions opts;
-  opts.scheme = Scheme::kMultiVersionOptimistic;
+  opts.scheme = scheme;
   // A slow-txn threshold (far above anything this test does) opts every
   // commit into pipeline tracing, overriding the 1-in-32 sampling so the
   // histogram counts below can be asserted exactly.
@@ -119,13 +124,33 @@ TEST(MetricsTest, LoopbackRoundTripMatchesWork) {
   EXPECT_LE(p50, p99);
   EXPECT_GT(samples["mvstore_commit_total_seconds_sum"], 0.0);
   EXPECT_GT(max, 0.0);
-  // Per-phase commit histograms saw the same commits.
-  EXPECT_GE(samples["mvstore_commit_validate_seconds_count"], kCommits);
+  // Per-phase commit histograms saw the same commits; 1V has no
+  // validation phase, so it records none.
+  if (scheme == Scheme::kSingleVersion) {
+    EXPECT_EQ(samples["mvstore_commit_validate_seconds_count"], 0.0);
+  } else {
+    EXPECT_GE(samples["mvstore_commit_validate_seconds_count"], kCommits);
+  }
   EXPECT_GE(samples["mvstore_commit_log_append_seconds_count"], kCommits);
   EXPECT_GE(samples["mvstore_txn_lifetime_seconds_count"], kCommits);
   // The read went through the Database facade.
   EXPECT_GE(samples["mvstore_read_latency_seconds_count"], 1.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, MetricsSchemeTest,
+    ::testing::Values(Scheme::kSingleVersion, Scheme::kMultiVersionLocking,
+                      Scheme::kMultiVersionOptimistic),
+    [](const ::testing::TestParamInfo<Scheme>& info) {
+      switch (info.param) {
+        case Scheme::kSingleVersion:
+          return "1V";
+        case Scheme::kMultiVersionLocking:
+          return "MVL";
+        default:
+          return "MVO";
+      }
+    });
 
 TEST(MetricsTest, CommitTracingIsSampledByDefault) {
   // Without a slow-txn threshold, the commit pipeline is traced 1-in-32

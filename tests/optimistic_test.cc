@@ -19,9 +19,10 @@ uint64_t RowKey(const void* p) { return static_cast<const Row*>(p)->key; }
 class OptimisticTest : public ::testing::Test {
  protected:
   OptimisticTest() {
-    MVEngineOptions opts;
+    DatabaseOptions opts;
     opts.log_mode = LogMode::kDisabled;
-    engine_ = std::make_unique<MVEngine>(opts);
+    substrate_ = std::make_unique<Substrate>(opts);
+    engine_ = std::make_unique<MVEngine>(*substrate_);
     TableDef def;
     def.name = "rows";
     def.payload_size = sizeof(Row);
@@ -56,6 +57,7 @@ class OptimisticTest : public ::testing::Test {
     return engine_->Commit(t);
   }
 
+  std::unique_ptr<Substrate> substrate_;  // outlives engine_
   std::unique_ptr<MVEngine> engine_;
   TableId table_ = 0;
 };
@@ -195,7 +197,7 @@ TEST_F(OptimisticTest, FirstWriterWins) {
   EXPECT_EQ(s.abort_reason(), AbortReason::kWriteWriteConflict);
 
   ASSERT_TRUE(engine_->Commit(t1).ok());
-  EXPECT_EQ(engine_->stats().Get(Stat::kAbortWriteConflict), 1u);
+  EXPECT_EQ(substrate_->stats().Get(Stat::kAbortWriteConflict), 1u);
 }
 
 /// After the first writer aborts, the version is updatable again.

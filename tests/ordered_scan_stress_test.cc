@@ -285,7 +285,7 @@ TEST_P(OrderedScanChurnTest, IteratorsSurviveNodeRetirementChurn) {
   // Drain everything; the churn band must be gone from the index and the
   // stable band fully intact and ordered.
   db.mv_engine()->gc().RunOnce();
-  db.mv_engine()->epoch().TryAdvanceAndReclaim();
+  db.substrate().epoch().TryAdvanceAndReclaim();
   std::vector<uint64_t> groups;
   ASSERT_TRUE(db.RunTransaction(IsolationLevel::kReadCommitted, [&](Txn* t) {
                   groups.clear();
@@ -299,7 +299,7 @@ TEST_P(OrderedScanChurnTest, IteratorsSurviveNodeRetirementChurn) {
   for (uint64_t k = 0; k < kStable; ++k) EXPECT_EQ(groups[k], k);
 
   // The drained churn nodes must actually have left the skip list.
-  OrderedIndex* index = db.mv_engine()->table(table).ordered_index(1);
+  OrderedIndex* index = db.substrate().table(table).ordered_index(1);
   ASSERT_NE(index, nullptr);
   EXPECT_LE(index->CountNodes(), kStable + kChurn);
 }

@@ -21,10 +21,12 @@ uint64_t RowKey(const void* p) { return static_cast<const Row*>(p)->key; }
 class PessimisticTest : public ::testing::Test {
  protected:
   PessimisticTest() {
+    DatabaseOptions db_opts;
+    db_opts.log_mode = LogMode::kDisabled;
+    substrate_ = std::make_unique<Substrate>(db_opts);
     MVEngineOptions opts;
-    opts.log_mode = LogMode::kDisabled;
     opts.deadlock_interval_us = 500;
-    engine_ = std::make_unique<MVEngine>(opts);
+    engine_ = std::make_unique<MVEngine>(*substrate_, opts);
     TableDef def;
     def.name = "rows";
     def.payload_size = sizeof(Row);
@@ -46,8 +48,9 @@ class PessimisticTest : public ::testing::Test {
   /// The single visible version for `key` (test helper; single-threaded use).
   Version* VersionOf(uint64_t key) {
     Version* found = nullptr;
-    engine_->table(table_).index(0).ScanBucket(key, [&](Version* v) {
-      if (engine_->table(table_).index(0).KeyOf(v) == key) {
+    HashIndex& index = substrate_->table(table_).index(0);
+    index.ScanBucket(key, [&](Version* v) {
+      if (index.KeyOf(v) == key) {
         uint64_t b = v->begin.load();
         if (!beginword::IsTxnId(b) && beginword::TimestampOf(b) != kInfinity) {
           uint64_t e = v->end.load();
@@ -63,6 +66,7 @@ class PessimisticTest : public ::testing::Test {
     return found;
   }
 
+  std::unique_ptr<Substrate> substrate_;  // outlives engine_
   std::unique_ptr<MVEngine> engine_;
   TableId table_ = 0;
 };

@@ -63,7 +63,9 @@ void DefineSchema(Database& db) {
 
 std::string FreshDir(const std::string& name) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
+      (std::filesystem::temp_directory_path() /
+       (name + "_" + std::to_string(::getpid())))
+          .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -427,11 +429,8 @@ TEST_F(ReplProtocolTest, HeartbeatTimeoutTriggersReconnect) {
     }
   });
 
-  ReplicaOptions ropts;
-  ropts.db = MakeDbOptions(FreshDir("mvstore_repl_proto_hb"));
-  ropts.define_schema = DefineSchema;
+  ReplicaOptions ropts = FollowerOptions("hb");
   ropts.leader_port = fake_port;
-  ropts.reconnect_ms = 10;
   ropts.heartbeat_timeout_ms = 200;
   Status st;
   auto replica = Replica::Open(ropts, &st);
@@ -566,11 +565,8 @@ TEST_F(ReplProtocolTest, PromoteGuards) {
   EXPECT_TRUE(client.Promote().IsInvalidArgument());
 
   // Fresh replica against an unreachable leader: never attaches.
-  ReplicaOptions ropts;
-  ropts.db = MakeDbOptions(FreshDir("mvstore_repl_proto_pg"));
-  ropts.define_schema = DefineSchema;
+  ReplicaOptions ropts = FollowerOptions("pg");
   ropts.leader_port = 1;  // nothing listens there
-  ropts.reconnect_ms = 10;
   Status st;
   auto replica = Replica::Open(ropts, &st);
   ASSERT_NE(replica, nullptr) << st.ToString();

@@ -21,6 +21,7 @@
 // the leader quiescent the follower's rows are value-identical to the
 // leader's.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -99,7 +100,8 @@ TEST(ReplReadScalingTest, FollowerAddsReadCapacityWithoutCollapse) {
   const double margin = small_box ? kSharedCoreMargin : kMargin;
 
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "mvstore_repl_read_scaling")
+      (std::filesystem::temp_directory_path() /
+       ("mvstore_repl_read_scaling_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir + "/leader");

@@ -299,13 +299,13 @@ TEST_P(SlabChurnTest, RecycledSlotsNeverVisibleBeforeEpochSafe) {
     // and the local tallies flushed, then confirm slots recycled into the
     // slab rather than the heap.
     db.mv_engine()->gc().RunOnce();
-    db.mv_engine()->epoch().TryAdvanceAndReclaim();
+    db.substrate().epoch().TryAdvanceAndReclaim();
     EXPECT_GT(stats.Get(Stat::kSlabChunksAllocated), 0u);
-    Table& t = db.mv_engine()->table(table);
+    Table& t = db.substrate().table(table);
     ASSERT_NE(t.slab(), nullptr);
   } else {
     EXPECT_EQ(stats.Get(Stat::kSlabChunksAllocated), 0u);
-    EXPECT_EQ(db.mv_engine()->table(table).slab(), nullptr);
+    EXPECT_EQ(db.substrate().table(table).slab(), nullptr);
   }
 
   // Final integrity sweep: every row readable and checksum-consistent.
@@ -330,12 +330,14 @@ INSTANTIATE_TEST_SUITE_P(SlabAndHeap, SlabChurnTest, ::testing::Bool(),
 /// ones across the whole lifecycle (the pool reuses them after epoch
 /// reclamation, so a long run cycles each object many times).
 TEST(TxnPoolTest, RecycledTransactionsAreClean) {
+  DatabaseOptions db_opts;
+  db_opts.log_mode = LogMode::kDisabled;
+  db_opts.use_slab_allocator = true;
+  Substrate substrate(db_opts);
   MVEngineOptions opts;
-  opts.log_mode = LogMode::kDisabled;
   opts.gc_interval_us = 0;
   opts.deadlock_interval_us = 0;
-  opts.use_slab_allocator = true;
-  MVEngine engine(opts);
+  MVEngine engine(substrate, opts);
 
   TableDef def;
   def.name = "t";
@@ -365,9 +367,9 @@ TEST(TxnPoolTest, RecycledTransactionsAreClean) {
       }
     }
     // Recycling requires epochs to pass; nudge the manager.
-    if (i % 64 == 0) engine.epoch().TryAdvanceAndReclaim();
+    if (i % 64 == 0) substrate.epoch().TryAdvanceAndReclaim();
   }
-  EXPECT_GT(engine.stats().Get(Stat::kTxnPoolHits), 0u);
+  EXPECT_GT(substrate.stats().Get(Stat::kTxnPoolHits), 0u);
 }
 
 }  // namespace

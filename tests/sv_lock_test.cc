@@ -115,10 +115,13 @@ class SVEngineTest : public ::testing::Test {
   static constexpr uint64_t kBuckets = 4096;
 
   SVEngineTest() {
+    DatabaseOptions db_opts;
+    db_opts.scheme = Scheme::kSingleVersion;
+    db_opts.log_mode = LogMode::kDisabled;
+    substrate_ = std::make_unique<Substrate>(db_opts);
     SVEngineOptions opts;
-    opts.log_mode = LogMode::kDisabled;
     opts.lock_timeout_us = 3000;
-    engine_ = std::make_unique<SVEngine>(opts);
+    engine_ = std::make_unique<SVEngine>(*substrate_, opts);
     TableDef def;
     def.name = "rows";
     def.payload_size = sizeof(Row);
@@ -133,6 +136,7 @@ class SVEngineTest : public ::testing::Test {
     ASSERT_TRUE(engine_->Commit(t).ok());
   }
 
+  std::unique_ptr<Substrate> substrate_;  // outlives engine_
   std::unique_ptr<SVEngine> engine_;
   TableId table_ = 0;
 };

@@ -141,9 +141,10 @@ TEST(TxnTableTest, MinActiveBeginTreatsUnsetAsZero) {
 /// finds the transaction with exactly that ID. Run under TSan this also
 /// checks that the latch-free Find races with nothing.
 TEST(TxnTableTest, ConcurrentFindReturnsOnlyExactId) {
-  MVEngineOptions opts;
+  DatabaseOptions opts;
   opts.log_mode = LogMode::kDisabled;
-  MVEngine engine(opts);
+  Substrate substrate(opts);
+  MVEngine engine(substrate);
   constexpr int kChurners = 2, kFinders = 2, kPerChurner = 20000;
   constexpr uint32_t kRing = 64;
   std::array<std::atomic<TxnId>, kRing> recent{};
@@ -178,7 +179,7 @@ TEST(TxnTableTest, ConcurrentFindReturnsOnlyExactId) {
         }
         // Alternate fresh IDs with ones seen long ago.
         if (i % 2 == 0) id = seen[(i / 2) % seen.size()];
-        EpochGuard guard(engine.epoch());
+        EpochGuard guard(substrate.epoch());
         if (Transaction* t = engine.txn_table().Find(id)) {
           found.fetch_add(1);
           if (t->id != id) mismatched.fetch_add(1);
